@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
+from .scoring import _TABLE, _dimension
 from .stats import FrequencyTable, HistogramBins
 
 CANVAS_WIDTH = 800
@@ -25,11 +26,7 @@ _BAR_FILL = "#4682b4"
 _AXIS_COLOR = "#333333"
 
 HISTOGRAM_TITLE = "SUS value histogram"
-CATEGORY_TITLES = {
-    "acceptability": "Acceptability level chart",
-    "grade": "Grade chart",
-    "adjective": "Adjective ratings chart",
-}
+CATEGORY_TITLES = {dimension: dim.chart_title for dimension, dim in _TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -51,10 +48,7 @@ def render_histogram(bins: HistogramBins) -> ChartDocument:
 
 def render_category_chart(table: FrequencyTable) -> ChartDocument:
     """Bar chart of per-label counts for one categorical dimension."""
-    try:
-        title = CATEGORY_TITLES[table.dimension]
-    except KeyError:
-        raise ValueError(f"no chart defined for dimension {table.dimension!r}") from None
+    title = _dimension(table.dimension).chart_title
     bars = [(label.value, count) for label, count in table.entries]
     svg = _bar_chart_svg(table.dimension, title, bars)
     return ChartDocument(svg_text=svg, title=title, kind=table.dimension)

@@ -106,6 +106,18 @@ class ParseReport:
     source_line_count: int
 
 
+def _field_error(line_no: int, fields: list[str]) -> ParseError:
+    """The error for the first bad field of a line that failed to parse."""
+    for field_no, field in enumerate(fields, start=1):
+        token = field.strip()
+        try:
+            value = int(token)
+        except ValueError:
+            return NotAnIntegerError(line_no, field_no, token)
+        if not LIKERT_MIN <= value <= LIKERT_MAX:
+            return OutOfRangeError(line_no, field_no, value)
+
+
 def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
     """Parse response text into validated rows.
 
@@ -124,31 +136,28 @@ def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseRepor
         fields = line.split(delimiter)
         if len(fields) != ITEMS_PER_RESPONSE:
             raise BadFieldCountError(line_no, len(fields))
-        answers = []
-        for field_no, field in enumerate(fields, start=1):
-            token = field.strip()
-            try:
-                value = int(token)
-            except ValueError:
-                raise NotAnIntegerError(line_no, field_no, token) from None
-            if not LIKERT_MIN <= value <= LIKERT_MAX:
-                raise OutOfRangeError(line_no, field_no, value)
-            answers.append(value)
-        rows.append(ResponseRow(tuple(answers)))
+        try:
+            # str.strip also trims \x1f, which int() alone would reject.
+            rows.append(ResponseRow(tuple(map(int, map(str.strip, fields)))))
+        except ValueError:
+            raise _field_error(line_no, fields) from None
     if not rows:
         raise EmptyInputError()
     return ParseReport(rows=tuple(rows), source_line_count=len(lines))
 
 
 def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
-    """Read a response file and parse it.
+    """Read a UTF-8 response file, with or without a byte order mark, and parse it.
 
     A missing file raises the usual :class:`FileNotFoundError`; parse
-    errors are re-raised with the path attached to their message.
+    errors, undecodable bytes included, carry the path in their message.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return parse_responses(text, delimiter=delimiter)
+        return parse_responses(Path(path).read_bytes().decode("utf-8-sig"), delimiter=delimiter)
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        error = ParseError(f"not valid UTF-8: {exc.reason}", line_no=line_no)
     except ParseError as exc:
-        exc.source = str(path)
-        raise
+        error = exc
+    error.source = str(path)
+    raise error

@@ -11,28 +11,13 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .scoring import (
-    Acceptability,
-    Adjective,
-    Grade,
-    classify_acceptability,
-    classify_adjective,
-    classify_grade,
-)
+from .scoring import _TABLE, Acceptability, Adjective, Grade
 from .stats import FrequencyTable, SurveyStats
 
 DEFAULT_REPORT_PATH = "results.txt"
 
 _COL_WIDTH = 20
 _SUMMARY_COL_WIDTH = 15
-
-# Frequency sections in report order: dimension, heading, separator length.
-# Separator lengths vary per block; they are part of the pinned layout.
-_FREQUENCY_SECTIONS = (
-    ("acceptability", "Acceptability", 27),
-    ("grade", "Grades", 26),
-    ("adjective", "Adjectives", 26),
-)
 
 
 class InsufficientDataError(ValueError):
@@ -89,14 +74,13 @@ def render_report(
     ]
 
     frequency_blocks = []
-    for dimension, heading, separator_length in _FREQUENCY_SECTIONS:
-        table = tables[dimension]
-        block = [_pair_line(heading, "Number"), "-" * separator_length]
-        block += [_pair_line(label.value, str(count)) for label, count in table.entries]
+    for dimension, dim in _TABLE.items():
+        block = [_pair_line(dim.heading, "Number"), "-" * dim.rule]
+        block += [_pair_line(label.value, str(count)) for label, count in tables[dimension].entries]
         frequency_blocks.append(block)
 
     summary_block = [
-        _summary_line(("SUS Value", "Acceptability", "Grade", "Adjective")),
+        _summary_line(("SUS Value", *(dim.field_name for dim in _TABLE.values()))),
         "-" * 60,
     ]
     for score, (acceptability, grade, adjective) in zip(scores, labels):
@@ -116,12 +100,8 @@ def render_report(
 
 def render_single_report(score: float) -> str:
     """Render the reduced report for a single response: score plus its labels."""
-    lines = [
-        _pair_line("SUS Value", _fmt2(score)),
-        _pair_line("Acceptability", classify_acceptability(score).value),
-        _pair_line("Grade", classify_grade(score).value),
-        _pair_line("Adjective", classify_adjective(score).value),
-    ]
+    lines = [_pair_line("SUS Value", _fmt2(score))]
+    lines += [_pair_line(dim.field_name, dim.classify(score).value) for dim in _TABLE.values()]
     return "\n".join(lines) + "\n"
 
 

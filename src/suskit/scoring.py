@@ -8,9 +8,11 @@ point, so the classifiers below need no tolerance at their boundaries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 from .ingest import ITEMS_PER_RESPONSE, ResponseRow
 
@@ -73,70 +75,80 @@ def score_all(rows: Sequence[ResponseRow]) -> list[float]:
     return [score_response(row) for row in rows]
 
 
+@dataclass
+class _Dimension:
+    """One categorical dimension: its bands, and how reports and charts name it."""
+
+    labels: type[Enum]  # member order is report order
+    bands: tuple[tuple[float, Enum], ...]  # (inclusive lower bound, label), lowest band first
+    heading: str  # frequency-table heading in the multi-response report
+    rule: int  # length of the separator under that heading
+    field_name: str  # row name in the single-response report, column in the summary table
+    chart_title: str
+
+    def __post_init__(self):
+        # A score below every bound is in the lowest band, so its own bound is not searched.
+        self.bounds = tuple(bound for bound, _ in self.bands[1:])
+        self.band_labels = tuple(label for _, label in self.bands)
+
+    def classify(self, score: float) -> Enum:
+        return self.band_labels[bisect_right(self.bounds, score)]
+
+
+# Bands after Bangor, Kortum & Miller (2009).
+_TABLE: dict[str, _Dimension] = {
+    "acceptability": _Dimension(
+        Acceptability,
+        ((0, Acceptability.NOT_ACCEPTABLE), (50, Acceptability.LOW_MARGINAL),
+         (62.5, Acceptability.HIGH_MARGINAL), (70, Acceptability.ACCEPTABLE)),
+        "Acceptability", 27, "Acceptability", "Acceptability level chart",
+    ),
+    "grade": _Dimension(
+        Grade,
+        ((0, Grade.F), (60, Grade.D), (70, Grade.C), (80, Grade.B), (90, Grade.A)),
+        "Grades", 26, "Grade", "Grade chart",
+    ),
+    "adjective": _Dimension(
+        Adjective,
+        ((0, Adjective.WORST_IMAGINABLE), (25, Adjective.POOR), (39, Adjective.OK),
+         (52, Adjective.GOOD), (73, Adjective.EXCELLENT), (85, Adjective.BEST_IMAGINABLE)),
+        "Adjectives", 26, "Adjective", "Adjective ratings chart",
+    ),
+}
+
+DIMENSIONS: tuple[str, ...] = tuple(_TABLE)
+
+
+def _dimension(name: str) -> _Dimension:
+    try:
+        return _TABLE[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown dimension {name!r}; expected one of: {', '.join(DIMENSIONS)}"
+        ) from None
+
+
 def classify_acceptability(score: float) -> Acceptability:
     """Acceptability band for a score; each band includes its lower bound."""
-    if score < 50:
-        return Acceptability.NOT_ACCEPTABLE
-    if score < 62.5:
-        return Acceptability.LOW_MARGINAL
-    if score < 70:
-        return Acceptability.HIGH_MARGINAL
-    return Acceptability.ACCEPTABLE
+    return _TABLE["acceptability"].classify(score)
 
 
 def classify_grade(score: float) -> Grade:
     """Grade for a score; each band includes its lower bound."""
-    if score < 60:
-        return Grade.F
-    if score < 70:
-        return Grade.D
-    if score < 80:
-        return Grade.C
-    if score < 90:
-        return Grade.B
-    return Grade.A
+    return _TABLE["grade"].classify(score)
 
 
 def classify_adjective(score: float) -> Adjective:
     """Adjective rating for a score; each band includes its lower bound."""
-    if score < 25:
-        return Adjective.WORST_IMAGINABLE
-    if score < 39:
-        return Adjective.POOR
-    if score < 52:
-        return Adjective.OK
-    if score < 73:
-        return Adjective.GOOD
-    if score < 85:
-        return Adjective.EXCELLENT
-    return Adjective.BEST_IMAGINABLE
-
-
-DIMENSIONS: tuple[str, ...] = ("acceptability", "grade", "adjective")
-
-_CLASSIFIERS: dict[str, tuple[type[Enum], Callable[[float], Enum]]] = {
-    "acceptability": (Acceptability, classify_acceptability),
-    "grade": (Grade, classify_grade),
-    "adjective": (Adjective, classify_adjective),
-}
-
-
-def _lookup(dimension: str) -> tuple[type[Enum], Callable[[float], Enum]]:
-    try:
-        return _CLASSIFIERS[dimension]
-    except KeyError:
-        raise ValueError(
-            f"unknown dimension {dimension!r}; expected one of: {', '.join(DIMENSIONS)}"
-        ) from None
+    return _TABLE["adjective"].classify(score)
 
 
 def dimension_labels(dimension: str) -> tuple[Enum, ...]:
     """All labels of one categorical dimension, in report order."""
-    label_type, _ = _lookup(dimension)
-    return tuple(label_type)
+    return tuple(_dimension(dimension).labels)
 
 
 def classify_each(scores: Sequence[float], dimension: str) -> list[Enum]:
     """Classify every score along one dimension, preserving order."""
-    _, classifier = _lookup(dimension)
-    return [classifier(score) for score in scores]
+    dim = _dimension(dimension)
+    return list(map(dim.band_labels.__getitem__, map(partial(bisect_right, dim.bounds), scores)))

@@ -120,6 +120,16 @@ def test_out_of_range_diagnostic(capsys, tmp_path):
     assert "6" in err
 
 
+def test_non_utf8_file_diagnostic(capsys, tmp_path):
+    source = tmp_path / "latin1.csv"
+    source.write_bytes(GOOD_LINE.encode() + b"\n5;2;5;1;4;1;5;1;4;\xe92\n")
+    code, out, err = run_cli(capsys, "score", str(source))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"suskit: {source}: line 2: not valid UTF-8")
+    assert err.count("\n") == 1
+
+
 def test_empty_file_diagnostic(capsys, tmp_path):
     source = tmp_path / "empty.csv"
     source.write_text("", encoding="utf-8")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from suskit import (
     BadFieldCountError,
@@ -115,6 +117,52 @@ def test_fail_fast_reports_first_error():
     assert excinfo.value.line_no == 1
 
 
+def test_first_bad_field_wins_whatever_its_kind():
+    # Field 2 is out of range and field 3 is not an integer: field 2 is reported.
+    with pytest.raises(OutOfRangeError) as excinfo:
+        parse_responses("1;9;x;4;5;1;2;3;4;5\n")
+    assert (excinfo.value.line_no, excinfo.value.field_no) == (1, 2)
+
+
+# Tokens that replace answers; " 3 ", "+5", "05" and "\x1f5" still parse. str.strip
+# trims "\x1f" but int() does not, so the parser must strip before converting.
+BAD_TOKENS = ["", "0", "6", "x", " 3 ", "1.0", "+5", "05", "\x1f5"]
+
+
+def expected_outcome(fields, line_no):
+    """Oracle: walk the fields in order; the first that is not an integer in 1-5 fails."""
+    answers = []
+    for field_no, field in enumerate(fields, start=1):
+        where = f"line {line_no}, field {field_no}"
+        token = field.strip()
+        try:
+            value = int(token)
+        except ValueError:
+            return NotAnIntegerError, line_no, field_no, f"{where}: not an integer: {token!r}"
+        if not 1 <= value <= 5:
+            return OutOfRangeError, line_no, field_no, f"{where}: value {value} outside 1-5"
+        answers.append(value)
+    return tuple(answers)
+
+
+@given(
+    row=st.lists(st.sampled_from("12345"), min_size=10, max_size=10),
+    corruptions=st.lists(
+        st.tuples(st.integers(0, 9), st.sampled_from(BAD_TOKENS)), min_size=1, max_size=3
+    ),
+)
+def test_corrupted_fields_match_in_order_oracle(row, corruptions):
+    fields = list(row)
+    for index, token in corruptions:
+        fields[index] = token
+    text = GOOD_LINE + "\n" + ";".join(fields) + "\n"
+    try:
+        outcome = parse_responses(text).rows[1].answers
+    except ParseError as err:
+        outcome = type(err), err.line_no, err.field_no, str(err)
+    assert outcome == expected_outcome(fields, line_no=2)
+
+
 def test_header_line_is_an_error_not_skipped():
     text = "q1;q2;q3;q4;q5;q6;q7;q8;q9;q10\n" + GOOD_LINE + "\n"
     with pytest.raises(NotAnIntegerError) as excinfo:
@@ -134,6 +182,13 @@ def test_error_line_numbers_count_blank_lines():
     with pytest.raises(BadFieldCountError) as excinfo:
         parse_responses(text)
     assert excinfo.value.line_no == 3
+
+
+def test_load_skips_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD_LINE.encode() + b"\r\n")
+    report = load_responses(path)
+    assert report.rows[0].answers == (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
 
 
 def test_load_missing_file(tmp_path):

@@ -75,6 +75,7 @@ def test_score_matches_per_item_formula(sample_rows):
         (0.0, Acceptability.NOT_ACCEPTABLE),
         (49.9, Acceptability.NOT_ACCEPTABLE),
         (50.0, Acceptability.LOW_MARGINAL),
+        (62.4, Acceptability.LOW_MARGINAL),
         (62.5, Acceptability.HIGH_MARGINAL),
         (69.9, Acceptability.HIGH_MARGINAL),
         (70.0, Acceptability.ACCEPTABLE),
@@ -91,7 +92,9 @@ def test_acceptability_bands(score, expected):
         (0.0, Grade.F),
         (59.9, Grade.F),
         (60.0, Grade.D),
+        (69.9, Grade.D),
         (70.0, Grade.C),
+        (79.9, Grade.C),
         (80.0, Grade.B),
         (89.9, Grade.B),
         (90.0, Grade.A),
@@ -108,10 +111,13 @@ def test_grade_bands(score, expected):
         (0.0, Adjective.WORST_IMAGINABLE),
         (24.9, Adjective.WORST_IMAGINABLE),
         (25.0, Adjective.POOR),
+        (38.9, Adjective.POOR),
         (39.0, Adjective.OK),
+        (51.9, Adjective.OK),
         (52.0, Adjective.GOOD),
         (72.9, Adjective.GOOD),
         (73.0, Adjective.EXCELLENT),
+        (84.9, Adjective.EXCELLENT),
         (85.0, Adjective.BEST_IMAGINABLE),
         (100.0, Adjective.BEST_IMAGINABLE),
     ],
