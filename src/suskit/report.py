@@ -11,7 +11,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .scoring import _TABLE, Acceptability, Adjective, Grade
+from .scoring import _TABLE
 from .stats import FrequencyTable, SurveyStats
 
 DEFAULT_REPORT_PATH = "results.txt"
@@ -44,22 +44,25 @@ def _summary_line(cells: Sequence[str]) -> str:
     return "".join(f"{cell:<{_SUMMARY_COL_WIDTH}}" for cell in cells)
 
 
+# Names of a score's cells: summary-table header, single-report row names.
+_SCORE_FIELDS = ("SUS Value", *(dim.field_name for dim in _TABLE.values()))
+
+
+def _score_cells(score: float) -> tuple[str, ...]:
+    """A score's two-decimal value, then its label in each dimension."""
+    return (_fmt2(score), *(dim.classify(score).value for dim in _TABLE.values()))
+
+
 def render_report(
-    scores: Sequence[float],
-    stats: SurveyStats,
-    tables: Mapping[str, FrequencyTable],
-    labels: Sequence[tuple[Acceptability, Grade, Adjective]],
+    scores: Sequence[float], stats: SurveyStats, tables: Mapping[str, FrequencyTable]
 ) -> str:
     """Render the full multi-response report.
 
-    ``tables`` maps each dimension name to its frequency table; ``labels``
-    holds one (acceptability, grade, adjective) triple per score, aligned
-    with ``scores``.
+    ``tables`` maps each dimension name to its frequency table. Each row of
+    the summary table is labelled from its score.
     """
     if len(scores) < 2:
         raise InsufficientDataError()
-    if len(labels) != len(scores):
-        raise ValueError(f"got {len(labels)} label triples for {len(scores)} scores")
 
     values_block = ["SUS values", "-" * 11]
     values_block += [_fmt1(score) for score in scores]
@@ -79,14 +82,12 @@ def render_report(
         block += [_pair_line(label.value, str(count)) for label, count in tables[dimension].entries]
         frequency_blocks.append(block)
 
-    summary_block = [
-        _summary_line(("SUS Value", *(dim.field_name for dim in _TABLE.values()))),
-        "-" * 60,
-    ]
-    for score, (acceptability, grade, adjective) in zip(scores, labels):
-        summary_block.append(
-            _summary_line((_fmt2(score), acceptability.value, grade.value, adjective.value))
-        )
+    # One line per distinct score, keyed by repr: -0.0 == 0.0, but they print as -0.00 and 0.00.
+    keys = list(map(repr, scores))
+    distinct = dict(zip(keys, scores))
+    line_of = {key: _summary_line(_score_cells(score)) for key, score in distinct.items()}
+    summary_block = [_summary_line(_SCORE_FIELDS), "-" * 60]
+    summary_block += map(line_of.__getitem__, keys)
 
     blocks = [values_block, stats_block, *frequency_blocks, summary_block]
     lines: list[str] = []
@@ -100,9 +101,7 @@ def render_report(
 
 def render_single_report(score: float) -> str:
     """Render the reduced report for a single response: score plus its labels."""
-    lines = [_pair_line("SUS Value", _fmt2(score))]
-    lines += [_pair_line(dim.field_name, dim.classify(score).value) for dim in _TABLE.values()]
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(_pair_line, _SCORE_FIELDS, _score_cells(score))) + "\n"
 
 
 def write_report(text: str, path: str | Path = DEFAULT_REPORT_PATH) -> None:

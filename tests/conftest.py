@@ -8,7 +8,6 @@ import pytest
 
 from suskit import (
     DIMENSIONS,
-    classify_each,
     descriptive_stats,
     frequency_table,
     load_responses,
@@ -57,7 +56,6 @@ def render_full_report():
     def _render(scores):
         stats = descriptive_stats(scores)
         tables = {dimension: frequency_table(scores, dimension) for dimension in DIMENSIONS}
-        labels = list(zip(*(classify_each(scores, dimension) for dimension in DIMENSIONS)))
-        return render_report(scores, stats, tables, labels)
+        return render_report(scores, stats, tables)
 
     return _render

@@ -23,6 +23,8 @@ from suskit import (
     frequency_table,
     histogram_bins,
     parse_responses,
+    render_report,
+    render_single_report,
     score_all,
     score_breakdown,
     score_response,
@@ -177,3 +179,23 @@ def test_translation_moves_location_not_spread(scores):
     assert math.isclose(moved.median, base.median + shift, abs_tol=1e-9)
     assert math.isclose(moved.q3, base.q3 + shift, abs_tol=1e-9)
     assert math.isclose(moved.sample_std, base.sample_std, abs_tol=1e-9)
+
+
+# Grid scores, off-grid floats (band edges, exact two-decimal ties) and -0.0.
+report_score_values = st.one_of(
+    score_values,
+    st.floats(0, 100),
+    st.sampled_from([59.9, 62.4, 0.125, 0.375, -0.0]),
+)
+
+
+@given(scores=st.lists(report_score_values, min_size=2, max_size=12))
+def test_summary_rows_match_single_reports(scores):
+    # render_single_report formats each score on its own: the reference for the memoised rows.
+    tables = {d: frequency_table(scores, d) for d in DIMENSIONS}
+    lines = render_report(scores, descriptive_stats(scores), tables).split("\n")
+    start = lines.index("-" * 60) + 1
+    for score, row in zip(scores, lines[start : start + len(scores)], strict=True):
+        cells = [row[0:15], row[15:30], row[30:45], row[45:]]
+        expected = [line[20:].strip() for line in render_single_report(score).split("\n")[:4]]
+        assert [cell.strip() for cell in cells] == expected

@@ -63,16 +63,38 @@ def test_summary_block_columns(sample_scores, render_full_report):
 
 def test_two_decimal_ties_round_half_away_from_zero():
     # q1 of [0, 2.5] is 0.625; half-even formatting would print 0.62.
-    from suskit import DIMENSIONS, classify_each, descriptive_stats, frequency_table
+    from suskit import DIMENSIONS, descriptive_stats, frequency_table
 
     scores = [0.0, 2.5]
     stats = descriptive_stats(scores)
     assert stats.q1 == 0.625
     tables = {d: frequency_table(scores, d) for d in DIMENSIONS}
-    labels = list(zip(*(classify_each(scores, d) for d in DIMENSIONS)))
-    text = render_report(scores, stats, tables, labels)
+    text = render_report(scores, stats, tables)
     assert "First Quartile (Q1) 0.63" in text
     assert "0.62" not in text
+
+
+def _summary_rows(text: str, count: int) -> list[str]:
+    lines = text.split("\n")
+    header_at = lines.index("SUS Value      Acceptability  Grade          Adjective      ")
+    return lines[header_at + 2 : header_at + 2 + count]
+
+
+def test_negative_zero_keeps_its_sign_in_every_row(render_full_report):
+    # -0.0 == 0.0, so a memo keyed on the float itself would print both rows alike.
+    text = render_full_report([-0.0, 0.0])
+    lines = text.split("\n")
+    assert lines[2:4] == ["-0.0", "0.0"]
+    first, second = _summary_rows(text, 2)
+    assert first.startswith("-0.00 ")
+    assert second.startswith("0.00 ")
+
+
+def test_summary_rows_round_half_away_from_zero(render_full_report):
+    # 0.125 and 0.375 are exact binary ties; half-even formatting would print 0.12 first.
+    first, second = _summary_rows(render_full_report([0.125, 0.375]), 2)
+    assert first.startswith("0.13 ")
+    assert second.startswith("0.38 ")
 
 
 def test_insufficient_data_raises():
@@ -80,17 +102,7 @@ def test_insufficient_data_raises():
 
     stats = SurveyStats(mean=90.0, sample_std=0.0, q1=90.0, median=90.0, q3=90.0)
     with pytest.raises(InsufficientDataError):
-        render_report([90.0], stats, {}, [])
-
-
-def test_misaligned_labels_rejected(sample_scores, render_full_report):
-    from suskit import DIMENSIONS, classify_each, descriptive_stats, frequency_table
-
-    stats = descriptive_stats(sample_scores)
-    tables = {d: frequency_table(sample_scores, d) for d in DIMENSIONS}
-    labels = list(zip(*(classify_each(sample_scores, d) for d in DIMENSIONS)))[:-1]
-    with pytest.raises(ValueError):
-        render_report(sample_scores, stats, tables, labels)
+        render_report([90.0], stats, {})
 
 
 @pytest.mark.parametrize(
