@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .charts import ChartDocument, render_category_chart, render_histogram
@@ -107,7 +106,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             document = _chart_document(scores, args.kind)
             output = args.output if args.output is not None else f"{args.kind}.svg"
-            Path(output).write_text(document.svg_text, encoding="utf-8", newline="")
+            write_report(document.svg_text, output)
     except OSError as exc:
         print(f"suskit: {exc}", file=sys.stderr)
         return 1

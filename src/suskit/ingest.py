@@ -78,7 +78,7 @@ class OutOfRangeError(ParseError):
         self.value = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseRow:
     """One participant's answers to the ten questionnaire items.
 

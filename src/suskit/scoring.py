@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Sequence
 
 from .ingest import ITEMS_PER_RESPONSE, ResponseRow
@@ -150,5 +149,4 @@ def dimension_labels(dimension: str) -> tuple[Enum, ...]:
 
 def classify_each(scores: Sequence[float], dimension: str) -> list[Enum]:
     """Classify every score along one dimension, preserving order."""
-    dim = _dimension(dimension)
-    return list(map(dim.band_labels.__getitem__, map(partial(bisect_right, dim.bounds), scores)))
+    return list(map(_dimension(dimension).classify, scores))

@@ -7,9 +7,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean, stdev
-from typing import Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
-from .scoring import classify_each, dimension_labels
+from .scoring import _dimension
 
 NUM_BINS = 10
 
@@ -90,22 +90,31 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
     )
 
 
+def _tally(scores: Sequence[float], key: Callable[[float], Hashable], keys: Iterable) -> dict:
+    """Count scores per ``key(score)``, one entry per member of ``keys``, in that order."""
+    counts = dict.fromkeys(keys, 0)
+    # key runs once per distinct score, first-seen first, so it raises for the first bad score.
+    for score, count in Counter(scores).items():
+        counts[key(score)] += count
+    return counts
+
+
 def frequency_table(scores: Sequence[float], dimension: str) -> FrequencyTable:
     """Count scores per label of one dimension; zero-count labels included."""
     if not scores:
         raise EmptyScoreSetError()
-    counts = Counter(classify_each(scores, dimension))
-    entries = tuple((label, counts.get(label, 0)) for label in dimension_labels(dimension))
-    return FrequencyTable(dimension=dimension, entries=entries)
+    dim = _dimension(dimension)
+    return FrequencyTable(dimension, tuple(_tally(scores, dim.classify, dim.labels).items()))
+
+
+def _bin(score: float) -> int:
+    if not 0 <= score <= 100:
+        raise ValueError(f"score {score} outside 0-100")
+    return min(int(score // 10), NUM_BINS - 1)
 
 
 def histogram_bins(scores: Sequence[float]) -> HistogramBins:
     """Bin scores into ten equal intervals; the last bin is closed at 100."""
     if not scores:
         raise EmptyScoreSetError()
-    counts = [0] * NUM_BINS
-    for score in scores:
-        if not 0 <= score <= 100:
-            raise ValueError(f"score {score} outside 0-100")
-        counts[min(int(score // 10), NUM_BINS - 1)] += 1
-    return HistogramBins(counts=tuple(counts))
+    return HistogramBins(tuple(_tally(scores, _bin, range(NUM_BINS)).values()))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -198,6 +199,21 @@ def test_module_entry_point(sample_path, sample_scores):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == f"{sample_scores[0]:.1f}"
+
+
+def test_report_runs_without_site_packages(tmp_path, sample_path, golden_report):
+    # -S leaves site-packages off the path: the runtime needs the standard library only.
+    src = Path(__file__).resolve().parents[1] / "src"
+    target = tmp_path / "report.txt"
+    result = subprocess.run(
+        [sys.executable, "-S", "-m", "suskit", "report", str(sample_path), "--output", str(target)],
+        capture_output=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == golden_report.encode("utf-8")
+    assert target.read_bytes() == golden_report.encode("utf-8")
 
 
 def test_declared_console_script_is_module_main():

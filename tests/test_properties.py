@@ -199,3 +199,17 @@ def test_summary_rows_match_single_reports(scores):
         cells = [row[0:15], row[15:30], row[30:45], row[45:]]
         expected = [line[20:].strip() for line in render_single_report(score).split("\n")[:4]]
         assert [cell.strip() for cell in cells] == expected
+
+
+@given(scores=st.lists(report_score_values, min_size=1, max_size=30))
+def test_tallies_match_per_row_counts(scores):
+    # Reference: every row is labelled and binned on its own and counts once.
+    bins = [0] * 10
+    for score in scores:
+        bins[min(int(score // 10), 9)] += 1
+    assert histogram_bins(scores).counts == tuple(bins)
+    for dimension in DIMENSIONS:
+        expected = dict.fromkeys(dimension_labels(dimension), 0)
+        for label in classify_each(scores, dimension):
+            expected[label] += 1
+        assert frequency_table(scores, dimension).entries == tuple(expected.items())

@@ -149,6 +149,12 @@ def test_histogram_rejects_out_of_range():
         histogram_bins([-0.1])
 
 
+def test_histogram_error_names_first_bad_score():
+    # 120.0 repeats and -5.0 comes later: the message names the first bad score in input order.
+    with pytest.raises(ValueError, match=r"^score 120\.0 outside 0-100$"):
+        histogram_bins([50.0, 120.0, -5.0, 120.0])
+
+
 def test_histogram_bins_length_validated():
     with pytest.raises(ValueError):
         HistogramBins(counts=(0,) * 9)
