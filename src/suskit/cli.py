@@ -1,5 +1,7 @@
 """Command-line interface wiring parsing, scoring, statistics, and output.
 
+The argument parser is built once per process, at import; every main() reuses it.
+
 Exit codes: 0 on success, 1 for data or I/O errors (diagnostic on stderr),
 2 for usage errors.
 """
@@ -66,6 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def _report_text(scores: list[float]) -> str:
     if len(scores) == 1:
         return render_single_report(scores[0])
@@ -82,21 +87,14 @@ def _chart_document(scores: list[float], kind: str) -> ChartDocument:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI and return its exit code instead of exiting."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits itself: 2 on usage errors, 0 on --help.
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        parsed = load_responses(args.input, delimiter=args.delimiter)
-    except (ParseError, OSError) as exc:
-        print(f"suskit: {exc}", file=sys.stderr)
-        return 1
-
-    scores = score_all(parsed.rows)
-    try:
+        scores = score_all(load_responses(args.input, delimiter=args.delimiter).rows)
         if args.command == "score":
             sys.stdout.write("".join(f"{score:.1f}\n" for score in scores))
         elif args.command == "report":
@@ -107,7 +105,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             document = _chart_document(scores, args.kind)
             output = args.output if args.output is not None else f"{args.kind}.svg"
             write_report(document.svg_text, output)
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"suskit: {exc}", file=sys.stderr)
         return 1
     return 0

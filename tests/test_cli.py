@@ -191,6 +191,32 @@ def test_chart_write_failure(capsys, tmp_path, sample_path):
     assert err.startswith("suskit:")
 
 
+def test_calls_in_one_process_share_no_state(
+    capsys, tmp_path, monkeypatch, sample_path, sample_scores, golden_report
+):
+    # main() reuses one parser per process, so no option may leak into the next call.
+    monkeypatch.chdir(tmp_path)
+    sample_out = "".join(f"{score:.1f}\n" for score in sample_scores)
+    commas = tmp_path / "commas.csv"
+    commas.write_text(GOOD_LINE.replace(";", ",") + "\n", encoding="utf-8")
+    assert run_cli(capsys, "score", str(commas), "--delimiter", ",") == (0, "90.0\n", "")
+    assert run_cli(capsys, "score", str(sample_path)) == (0, sample_out, "")
+
+    target = tmp_path / "grades.svg"
+    assert run_cli(capsys, "chart", "grade", str(sample_path), "--output", str(target))[0] == 0
+    grades = target.read_bytes()
+    assert run_cli(capsys, "chart", "histogram", str(sample_path)) == (0, "", "")
+    assert (tmp_path / "histogram.svg").read_text(encoding="utf-8").startswith("<svg ")
+    assert target.read_bytes() == grades
+
+    assert run_cli(capsys, "report", str(sample_path), "--delimiter", ";;")[0] == 2
+    assert run_cli(capsys, "report", str(sample_path)) == (0, golden_report, "")
+    assert (tmp_path / "results.txt").read_bytes() == golden_report.encode("utf-8")
+
+    assert run_cli(capsys, "--help")[0] == 0
+    assert run_cli(capsys, "score", str(sample_path)) == (0, sample_out, "")
+
+
 def test_module_entry_point(sample_path, sample_scores):
     result = subprocess.run(
         [sys.executable, "-m", "suskit", "score", str(sample_path)],

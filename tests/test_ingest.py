@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -239,3 +241,11 @@ class TestResponseRow:
         row = ResponseRow((3,) * 10)
         with pytest.raises(AttributeError):
             row.answers = (1,) * 10
+
+    def test_rejects_new_attribute(self):
+        row = ResponseRow((3,) * 10)
+        # TypeError, not FrozenInstanceError: dataclass rebuilds a slotted class, and the
+        # generated frozen __setattr__ still calls super() with the class it replaced.
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            row.extra = 1
+        assert not hasattr(row, "extra")
