@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .scoring import _TABLE, _dimension
 from .stats import FrequencyTable, HistogramBins
@@ -54,6 +53,11 @@ def render_category_chart(table: FrequencyTable) -> ChartDocument:
     return ChartDocument(svg_text=svg, title=title, kind=table.dimension)
 
 
+def _escape(text: str) -> str:
+    # As xml.sax.saxutils.escape, whose module also imports urllib, http and email.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _n(value: float) -> str:
     return f"{value:.1f}"
 
@@ -82,10 +86,10 @@ def _bar_chart_svg(
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_WIDTH}" height="{CANVAS_HEIGHT}"'
-        f' viewBox="0 0 {CANVAS_WIDTH} {CANVAS_HEIGHT}" data-kind="{escape(kind)}" data-total="{total}">',
+        f' viewBox="0 0 {CANVAS_WIDTH} {CANVAS_HEIGHT}" data-kind="{_escape(kind)}" data-total="{total}">',
         f'  <rect width="{CANVAS_WIDTH}" height="{CANVAS_HEIGHT}" fill="#ffffff"/>',
         f'  <text x="{_n(CANVAS_WIDTH / 2)}" y="36" font-family="sans-serif" font-size="20"'
-        f' text-anchor="middle">{escape(title)}</text>',
+        f' text-anchor="middle">{_escape(title)}</text>',
         '  <g class="axes">',
         f'    <line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="{_AXIS_COLOR}" stroke-width="1"/>',
         f'    <line x1="{x0}" y1="{y1}" x2="{x0 + _PLOT_WIDTH}" y2="{y1}" stroke="{_AXIS_COLOR}" stroke-width="1"/>',
@@ -109,7 +113,7 @@ def _bar_chart_svg(
         height = count / y_top * _PLOT_HEIGHT
         stroke = ' stroke="#ffffff" stroke-width="1"' if contiguous else ""
         parts.append(
-            f'    <rect class="bar" data-label="{escape(label)}" data-count="{count}"'
+            f'    <rect class="bar" data-label="{_escape(label)}" data-count="{count}"'
             f' x="{_n(x)}" y="{_n(y1 - height)}" width="{_n(bar_width)}" height="{_n(height)}"'
             f' fill="{_BAR_FILL}"{stroke}/>'
         )
@@ -121,11 +125,11 @@ def _bar_chart_svg(
     )
     if contiguous:
         for index, text in enumerate(boundary_labels):
-            parts.append(f'    <text x="{_n(x0 + index * slot)}" y="{y1 + 24}">{escape(text)}</text>')
+            parts.append(f'    <text x="{_n(x0 + index * slot)}" y="{y1 + 24}">{_escape(text)}</text>')
     else:
         for index, (label, _) in enumerate(bars):
             parts.append(
-                f'    <text x="{_n(x0 + (index + 0.5) * slot)}" y="{y1 + 24}">{escape(label)}</text>'
+                f'    <text x="{_n(x0 + (index + 0.5) * slot)}" y="{y1 + 24}">{_escape(label)}</text>'
             )
     parts.append("  </g>")
     parts.append("</svg>")

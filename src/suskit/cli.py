@@ -1,6 +1,8 @@
 """Command-line interface wiring parsing, scoring, statistics, and output.
 
 The argument parser is built once per process, at import; every main() reuses it.
+Every command works on score codes, one byte k per response
+(ingest.ParseReport.codes), which the statistics aggregate through their 41 counts.
 
 Exit codes: 0 on success, 1 for data or I/O errors (diagnostic on stderr),
 2 for usage errors.
@@ -14,9 +16,9 @@ from typing import Sequence
 
 from .charts import ChartDocument, render_category_chart, render_histogram
 from .ingest import DEFAULT_DELIMITER, ParseError, load_responses
-from .report import DEFAULT_REPORT_PATH, render_report, render_single_report, write_report
-# classify_each is not called here; the benchmark's span tracer looks it up in this module.
-from .scoring import DIMENSIONS, classify_each, score_all  # noqa: F401
+from .report import _CODE_VALUES, DEFAULT_REPORT_PATH, render_report, render_single_report, write_report
+# classify_each and score_all are not called here; the benchmark's span tracer looks them up.
+from .scoring import CODE_SCORES, DIMENSIONS, classify_each, score_all  # noqa: F401
 from .stats import descriptive_stats, frequency_table, histogram_bins
 
 CHART_KINDS = ("histogram",) + DIMENSIONS
@@ -71,18 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _report_text(scores: list[float]) -> str:
-    if len(scores) == 1:
-        return render_single_report(scores[0])
-    stats = descriptive_stats(scores)
-    tables = {dimension: frequency_table(scores, dimension) for dimension in DIMENSIONS}
-    return render_report(scores, stats, tables)
+def _report_text(codes: bytes) -> str:
+    if len(codes) == 1:
+        return render_single_report(CODE_SCORES[codes[0]])
+    tables = {dimension: frequency_table(codes, dimension) for dimension in DIMENSIONS}
+    return render_report(codes, descriptive_stats(codes), tables)
 
 
-def _chart_document(scores: list[float], kind: str) -> ChartDocument:
+def _chart_document(codes: bytes, kind: str) -> ChartDocument:
     if kind == "histogram":
-        return render_histogram(histogram_bins(scores))
-    return render_category_chart(frequency_table(scores, kind))
+        return render_histogram(histogram_bins(codes))
+    return render_category_chart(frequency_table(codes, kind))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -94,15 +95,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        scores = score_all(load_responses(args.input, delimiter=args.delimiter).rows)
+        codes = load_responses(args.input, delimiter=args.delimiter).codes
         if args.command == "score":
-            sys.stdout.write("".join(f"{score:.1f}\n" for score in scores))
+            sys.stdout.write("\n".join(map(_CODE_VALUES.__getitem__, codes)) + "\n")
         elif args.command == "report":
-            text = _report_text(scores)
+            text = _report_text(codes)
             sys.stdout.write(text)
             write_report(text, args.output)
         else:
-            document = _chart_document(scores, args.kind)
+            document = _chart_document(codes, args.kind)
             output = args.output if args.output is not None else f"{args.kind}.svg"
             write_report(document.svg_text, output)
     except (ParseError, OSError) as exc:

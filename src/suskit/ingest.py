@@ -8,8 +8,12 @@ aborts the parse with 1-based coordinates.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cache, cached_property
+from itertools import product
 from pathlib import Path
+from typing import Callable, Sequence
 
 LIKERT_MIN = 1
 LIKERT_MAX = 5
@@ -98,12 +102,28 @@ class ResponseRow:
         object.__setattr__(self, "answers", answers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParseReport:
-    """Validated rows plus the physical line count of the source text."""
+    """Validated responses plus the physical line count of the source text.
 
-    rows: tuple[ResponseRow, ...]
+    ``codes`` holds each row's score code, one byte per row: the summed item
+    contributions k in 0-40, so the row's SUS score is 2.5 * k. ``rows`` holds
+    the rows themselves, parsed on first use from text validated by lookup.
+    """
+
+    codes: bytes
     source_line_count: int
+    _rows: Callable[[], tuple[ResponseRow, ...]] = dataclasses.field(repr=False)
+
+    @cached_property
+    def rows(self) -> tuple[ResponseRow, ...]:
+        return self._rows()
+
+
+def _score_code(a: Sequence[int]) -> int:
+    # Ten answers' summed SUS contributions k in 0-40, the score being 2.5 * k: an
+    # odd-numbered item contributes answer - 1, an even-numbered one 5 - answer.
+    return a[0] + a[2] + a[4] + a[6] + a[8] - a[1] - a[3] - a[5] - a[7] - a[9] + 20
 
 
 def _field_error(line_no: int, fields: list[str]) -> ParseError:
@@ -118,16 +138,8 @@ def _field_error(line_no: int, fields: list[str]) -> ParseError:
             return OutOfRangeError(line_no, field_no, value)
 
 
-def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
-    """Parse response text into validated rows.
-
-    Lines may end in LF or CRLF; blank lines are skipped but still count
-    toward error line numbers. Surrounding whitespace on a field is
-    trimmed before integer conversion.
-
-    Raises a :class:`ParseError` subclass pointing at the first offending
-    line/field, or :class:`EmptyInputError` when nothing parseable remains.
-    """
+def _parse(text: str, delimiter: str) -> ParseReport:
+    """:func:`parse_responses` line by line, building every row."""
     lines = text.splitlines()
     rows = []
     for line_no, line in enumerate(lines, start=1):
@@ -143,7 +155,47 @@ def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseRepor
             raise _field_error(line_no, fields) from None
     if not rows:
         raise EmptyInputError()
-    return ParseReport(rows=tuple(rows), source_line_count=len(lines))
+    rows = tuple(rows)
+    return ParseReport(bytes([_score_code(row.answers) for row in rows]), len(lines), lambda: rows)
+
+
+@cache
+def _half_codes(delimiter: str) -> tuple[dict[str, int], dict[str, int]]:
+    # Every valid first half "a;b;c;d;e" and second half ";f;g;h;i;j" of a line -> the
+    # summed contributions of its five items. The answers 1, 5, 1, 5, 1 and 5, 1, 5, 1, 5
+    # contribute nothing as items 1-5 and 6-10.
+    first, second = {}, {}
+    for half in product((1, 2, 3, 4, 5), repeat=5):
+        text = delimiter.join(map(str, half))
+        first[text] = _score_code((*half, 5, 1, 5, 1, 5))
+        second[delimiter + text] = _score_code((1, 5, 1, 5, 1, *half))
+    return first, second
+
+
+def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
+    """Parse response text into validated rows.
+
+    Lines may end in LF or CRLF; blank lines are skipped but still count
+    toward error line numbers. Surrounding whitespace on a field is
+    trimmed before integer conversion.
+
+    Raises a :class:`ParseError` subclass pointing at the first offending
+    line/field, or :class:`EmptyInputError` when nothing parseable remains.
+    """
+    # A line is in both tables exactly when it is ten digits 1-5 joined by the
+    # delimiter. The parser reads such a line the same way only when the delimiter is
+    # one character, not an answer digit and not a line boundary of str.splitlines.
+    if len(delimiter) == 1 and delimiter not in "12345" and delimiter.splitlines() == [delimiter]:
+        first, second = _half_codes(delimiter)
+        try:
+            codes = bytes([first[line[:9]] + second[line[9:]]
+                           for line in text.removesuffix("\n").split("\n")])
+        except KeyError:
+            pass
+        else:
+            return ParseReport(codes, len(codes), lambda: _parse(text, delimiter).rows)
+    # Anything else, empty text included, goes through the parser, which skips or reports it.
+    return _parse(text, delimiter)
 
 
 def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:

@@ -11,7 +11,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .scoring import _TABLE
+from .scoring import _TABLE, CODE_SCORES
 from .stats import FrequencyTable, SurveyStats
 
 DEFAULT_REPORT_PATH = "results.txt"
@@ -53,19 +53,32 @@ def _score_cells(score: float) -> tuple[str, ...]:
     return (_fmt2(score), *(dim.classify(score).value for dim in _TABLE.values()))
 
 
+# The value line and the summary line of each score code k, indexed by k.
+_CODE_VALUES = tuple(map(_fmt1, CODE_SCORES))
+_CODE_SUMMARIES = tuple(_summary_line(_score_cells(score)) for score in CODE_SCORES)
+
+
 def render_report(
     scores: Sequence[float], stats: SurveyStats, tables: Mapping[str, FrequencyTable]
 ) -> str:
     """Render the full multi-response report.
 
     ``tables`` maps each dimension name to its frequency table. Each row of
-    the summary table is labelled from its score.
+    the summary table is labelled from its score. ``scores`` may be score
+    codes, a ``bytes`` of codes k standing for the scores 2.5 * k.
     """
     if len(scores) < 2:
         raise InsufficientDataError()
+    if isinstance(scores, bytes):
+        keys, values, summaries = scores, _CODE_VALUES, _CODE_SUMMARIES
+    else:
+        # Lines per distinct score, keyed by repr: -0.0 == 0.0, but they print as -0.00 and 0.00.
+        keys = list(map(repr, scores))
+        distinct = dict(zip(keys, scores))
+        values = {key: _fmt1(score) for key, score in distinct.items()}
+        summaries = {key: _summary_line(_score_cells(score)) for key, score in distinct.items()}
 
-    values_block = ["SUS values", "-" * 11]
-    values_block += [_fmt1(score) for score in scores]
+    values_block = ["SUS values", "-" * 11, *map(values.__getitem__, keys)]
 
     stats_block = [_pair_line("Statistic", "Value"), "-" * 26]
     stats_block += [
@@ -82,21 +95,11 @@ def render_report(
         block += [_pair_line(label.value, str(count)) for label, count in tables[dimension].entries]
         frequency_blocks.append(block)
 
-    # One line per distinct score, keyed by repr: -0.0 == 0.0, but they print as -0.00 and 0.00.
-    keys = list(map(repr, scores))
-    distinct = dict(zip(keys, scores))
-    line_of = {key: _summary_line(_score_cells(score)) for key, score in distinct.items()}
-    summary_block = [_summary_line(_SCORE_FIELDS), "-" * 60]
-    summary_block += map(line_of.__getitem__, keys)
+    summary_block = [_summary_line(_SCORE_FIELDS), "-" * 60, *map(summaries.__getitem__, keys)]
 
     blocks = [values_block, stats_block, *frequency_blocks, summary_block]
-    lines: list[str] = []
-    for block in blocks[:-1]:
-        lines += block
-        lines += ["", ""]
-    lines += blocks[-1]
-    lines.append("")
-    return "\n".join(lines) + "\n"
+    # Two blank lines between blocks, one at the end.
+    return "\n\n\n".join(map("\n".join, blocks)) + "\n\n"
 
 
 def render_single_report(score: float) -> str:

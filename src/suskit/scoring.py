@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .ingest import ITEMS_PER_RESPONSE, ResponseRow
+from .ingest import ITEMS_PER_RESPONSE, ResponseRow, _score_code
 
 
 class Acceptability(Enum):
@@ -64,14 +64,16 @@ def score_breakdown(row: ResponseRow) -> ScoreBreakdown:
 
 def score_response(row: ResponseRow) -> float:
     """SUS score for one response: 2.5 times the summed contributions."""
-    # score_breakdown unrolled: sum(a_odd - 1) + sum(5 - a_even) = odd - even + 20.
-    a = row.answers
-    return 2.5 * (a[0] + a[2] + a[4] + a[6] + a[8] - a[1] - a[3] - a[5] - a[7] - a[9] + 20)
+    return 2.5 * _score_code(row.answers)
 
 
 def score_all(rows: Sequence[ResponseRow]) -> list[float]:
     """Score every response, preserving order."""
     return [score_response(row) for row in rows]
+
+
+# The score of each score code k in 0-40 (see ingest.ParseReport.codes), indexed by k.
+CODE_SCORES: tuple[float, ...] = tuple(2.5 * k for k in range(4 * ITEMS_PER_RESPONSE + 1))
 
 
 @dataclass

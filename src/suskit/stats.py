@@ -1,4 +1,8 @@
-"""Descriptive statistics, frequency tables, and histogram binning for score sets."""
+"""Descriptive statistics, frequency tables, and histogram binning for score sets.
+
+A score set may also be given as score codes, a ``bytes`` of k in 0-40 for the
+scores 2.5 * k; those are aggregated from their 41 counts.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from enum import Enum
 from statistics import fmean, stdev
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .scoring import _dimension
+from .scoring import CODE_SCORES, _dimension
 
 NUM_BINS = 10
 
@@ -72,6 +76,23 @@ def _quantile(ordered: Sequence[float], p: float) -> float:
     return ordered[low] + frac * (ordered[low + 1] - ordered[low])
 
 
+def code_counts(codes: bytes) -> list[int]:
+    """How often each score code k in 0-40 occurs in ``codes``, indexed by k."""
+    counts = [codes.count(k) for k in range(len(CODE_SCORES))]
+    if sum(counts) != len(codes):
+        raise ValueError(f"score codes run 0-{len(CODE_SCORES) - 1}")
+    return counts
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    # sqrt(num / den), correctly rounded: the integer root of the ratio scaled to 2 * 53 + 3
+    # bits, rounded to odd, rounds once to the nearest float (statistics' method from 3.11).
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * shift) if shift >= 0 else (num << -2 * shift, den)
+    root = math.isqrt(num // den)
+    return math.ldexp(root | (root * root * den != num), shift)
+
+
 def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
     """Mean, sample standard deviation, and linearly interpolated quartiles.
 
@@ -80,6 +101,19 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
     """
     if not scores:
         raise EmptyScoreSetError()
+    if isinstance(scores, bytes):
+        # The floats of the float path, but for the standard deviation: the correctly rounded
+        # root of the exact variance, as statistics.stdev gives it from Python 3.11 on.
+        counts = code_counts(scores)
+        n = len(scores)
+        total = sum(k * count for k, count in enumerate(counts))
+        squares = sum(k * k * count for k, count in enumerate(counts))
+        # The variance of the scores 2.5 * k is 6.25 * (n * squares - total**2) / (n * (n - 1)).
+        std = _sqrt_of_ratio(25 * (n * squares - total * total), 4 * n * (n - 1)) if n > 1 else 0.0
+        # Ranks fall on quarters, so interpolating codes, then scaling by 2.5, is exact as well.
+        ordered = b"".join(bytes([k]) * count for k, count in enumerate(counts))
+        q1, median, q3 = (2.5 * _quantile(ordered, p) for p in (0.25, 0.5, 0.75))
+        return SurveyStats(2.5 * total / n, std, q1, median, q3)
     ordered = sorted(scores)
     return SurveyStats(
         mean=fmean(scores),
@@ -93,8 +127,13 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
 def _tally(scores: Sequence[float], key: Callable[[float], Hashable], keys: Iterable) -> dict:
     """Count scores per ``key(score)``, one entry per member of ``keys``, in that order."""
     counts = dict.fromkeys(keys, 0)
-    # key runs once per distinct score, first-seen first, so it raises for the first bad score.
-    for score, count in Counter(scores).items():
+    # Score codes are counted per code, other scores per distinct value, first-seen first;
+    # key runs once per entry, so it raises for the first bad score.
+    if isinstance(scores, bytes):
+        counted = zip(CODE_SCORES, code_counts(scores))
+    else:
+        counted = Counter(scores).items()
+    for score, count in counted:
         counts[key(score)] += count
     return counts
 

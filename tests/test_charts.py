@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from unittest import mock
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from suskit import charts
 
 from suskit import (
     CATEGORY_TITLES,
@@ -167,3 +173,19 @@ def test_svg_is_well_formed_single_root(sample_scores):
     ET.fromstring(doc.svg_text)
     assert doc.svg_text.startswith("<svg ")
     assert doc.svg_text.endswith("</svg>\n")
+
+
+markup_texts = st.text(alphabet="&<>\"'a ;", max_size=12)
+
+
+@given(kind=markup_texts, title=markup_texts, labels=st.lists(markup_texts, min_size=1, max_size=4))
+def test_markup_escapes_as_saxutils(kind, title, labels):
+    bars = [(label, count) for count, label in enumerate(labels)]
+
+    def render():
+        return (charts._bar_chart_svg(kind, title, bars),
+                charts._bar_chart_svg(kind, title, bars, boundary_labels=[*labels, "&end"]))
+
+    ours = render()
+    with mock.patch.object(charts, "_escape", escape):
+        assert render() == ours

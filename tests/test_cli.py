@@ -242,6 +242,21 @@ def test_report_runs_without_site_packages(tmp_path, sample_path, golden_report)
     assert target.read_bytes() == golden_report.encode("utf-8")
 
 
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils imports these, and they took longer to load than the CLI itself.
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, suskit.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "suskit.cli" in loaded
+    assert not loaded & {"xml.sax", "urllib.request", "http.client", "email"}
+
+
 def test_declared_console_script_is_module_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from suskit import (
@@ -15,6 +16,7 @@ from suskit import (
     OutOfRangeError,
     ParseError,
     ResponseRow,
+    ingest,
     load_responses,
     parse_responses,
 )
@@ -163,6 +165,67 @@ def test_corrupted_fields_match_in_order_oracle(row, corruptions):
     except ParseError as err:
         outcome = type(err), err.line_no, err.field_no, str(err)
     assert outcome == expected_outcome(fields, line_no=2)
+
+
+# Delimiters the lookup path takes, and ones it must leave to the parser: answer
+# digits, and line boundaries of str.splitlines ("\x1e", "\x0c", "\x85").
+CODE_DELIMITERS = [";", ",", " ", "\t", "1", "5", "\x1e", "\x0c", "\x85"]
+ODD_TOKENS = BAD_TOKENS + ["\x1f", "\x0c", " ", "\x0c3", "3 3"]
+
+
+@st.composite
+def response_files(draw):
+    """(file bytes, delimiter): mostly clean lines, some mutated, every C8 error kind."""
+    delimiter = draw(st.sampled_from(CODE_DELIMITERS))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = draw(st.lists(st.sampled_from("12345"), min_size=10, max_size=10))
+        kind = draw(st.sampled_from(["clean"] * 4 + ["token", "count", "blank", "text"]))
+        if kind == "token":
+            fields[draw(st.integers(0, 9))] = draw(st.sampled_from(ODD_TOKENS))
+        elif kind == "count":
+            fields = fields[: draw(st.sampled_from([0, 1, 9]))] + draw(st.sampled_from([[], ["3"]]))
+        elif kind == "blank":
+            fields = [draw(st.sampled_from(["", " ", "\t", "  \t "]))]
+        elif kind == "text":
+            fields = [draw(st.text("12345;, \t\r\x0c\x1f\x1e\x85+0x", max_size=25))]
+        lines.append(delimiter.join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode("utf-8"), delimiter
+
+
+def _outcome(path, delimiter):
+    try:
+        report = load_responses(path, delimiter)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.line_no, exc.field_no, exc.source
+    return report.codes, report.source_line_count, report.rows
+
+
+@pytest.fixture(scope="module")
+def response_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("codes") / "responses.csv"
+
+
+@given(case=response_files())
+# A lookup alone would accept each of these; the parser finds the wrong field count.
+@example(case=(b"1" * 19 + b"\n", "1"))
+@example(case=("\x1e".join("3" * 10).encode() + b"\n", "\x1e"))
+@example(case=("\x0c".join("3" * 10).encode() + b"\n", "\x0c"))
+@example(case=(b"\xff;1\n", ";"))
+def test_lookup_agrees_with_full_parse(response_file, case):
+    data, delimiter = case
+    response_file.write_bytes(data)
+    with mock.patch.object(ingest, "parse_responses", ingest._parse):
+        expected = _outcome(response_file, delimiter)
+    assert _outcome(response_file, delimiter) == expected
+    if isinstance(expected[0], bytes):
+        codes, _, rows = expected
+        # Odd-numbered items contribute answer - 1, even-numbered ones 5 - answer.
+        assert list(codes) == [sum(a - 1 if item % 2 else 5 - a
+                                   for item, a in enumerate(row.answers, 1)) for row in rows]
 
 
 def test_header_line_is_an_error_not_skipped():
