@@ -161,41 +161,37 @@ def _parse(text: str, delimiter: str) -> ParseReport:
 
 @cache
 def _half_codes(delimiter: str) -> tuple[dict[str, int], dict[str, int]]:
-    # Every valid first half "a;b;c;d;e" and second half ";f;g;h;i;j" of a line -> the
-    # summed contributions of its five items. The answers 1, 5, 1, 5, 1 and 5, 1, 5, 1, 5
-    # contribute nothing as items 1-5 and 6-10.
+    # Every valid first half "a;b;c;d;e" and second half ";f;g;h;i;j" of a line -> the summed
+    # contributions of its five items (1, 5, 1, 5, 1 and 5, 1, 5, 1, 5 contribute nothing as
+    # items 1-5 and 6-10). The parser splits such a line into its ten digits only when the
+    # delimiter is one character and not a digit 1-5; for any other, both tables are empty.
     first, second = {}, {}
-    for half in product((1, 2, 3, 4, 5), repeat=5):
-        text = delimiter.join(map(str, half))
-        first[text] = _score_code((*half, 5, 1, 5, 1, 5))
-        second[delimiter + text] = _score_code((1, 5, 1, 5, 1, *half))
+    if len(delimiter) == 1 and delimiter not in "12345":
+        for half in product((1, 2, 3, 4, 5), repeat=5):
+            text = delimiter.join(map(str, half))
+            first[text] = _score_code((*half, 5, 1, 5, 1, 5))
+            second[delimiter + text] = _score_code((1, 5, 1, 5, 1, *half))
     return first, second
 
 
 def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
     """Parse response text into validated rows.
 
-    Lines may end in LF or CRLF; blank lines are skipped but still count
+    Lines may end in LF, CRLF or CR; blank lines are skipped but still count
     toward error line numbers. Surrounding whitespace on a field is
     trimmed before integer conversion.
 
     Raises a :class:`ParseError` subclass pointing at the first offending
     line/field, or :class:`EmptyInputError` when nothing parseable remains.
     """
-    # A line is in both tables exactly when it is ten digits 1-5 joined by the
-    # delimiter. The parser reads such a line the same way only when the delimiter is
-    # one character, not an answer digit and not a line boundary of str.splitlines.
-    if len(delimiter) == 1 and delimiter not in "12345" and delimiter.splitlines() == [delimiter]:
-        first, second = _half_codes(delimiter)
-        try:
-            codes = bytes([first[line[:9]] + second[line[9:]]
-                           for line in text.removesuffix("\n").split("\n")])
-        except KeyError:
-            pass
-        else:
-            return ParseReport(codes, len(codes), lambda: _parse(text, delimiter).rows)
-    # Anything else, empty text included, goes through the parser, which skips or reports it.
-    return _parse(text, delimiter)
+    # The lookup reads the parser's lines (empty text as one blank line) and a hit as the
+    # parser would; any miss goes to the parser, which skips or reports it.
+    first, second = _half_codes(delimiter)
+    try:
+        codes = bytes([first[line[:9]] + second[line[9:]] for line in text.splitlines() or [""]])
+    except KeyError:
+        return _parse(text, delimiter)
+    return ParseReport(codes, len(codes), lambda: _parse(text, delimiter).rows)
 
 
 def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .scoring import _TABLE, CODE_SCORES
-from .stats import FrequencyTable, SurveyStats
+from .stats import FrequencyTable, SurveyStats, code_counts
 
 DEFAULT_REPORT_PATH = "results.txt"
 
@@ -70,6 +70,7 @@ def render_report(
     if len(scores) < 2:
         raise InsufficientDataError()
     if isinstance(scores, bytes):
+        code_counts(scores)  # rejects a code above 40, as the aggregates do
         keys, values, summaries = scores, _CODE_VALUES, _CODE_SUMMARIES
     else:
         # Lines per distinct score, keyed by repr: -0.0 == 0.0, but they print as -0.00 and 0.00.

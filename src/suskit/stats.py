@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from statistics import fmean, stdev
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -76,9 +77,10 @@ def _quantile(ordered: Sequence[float], p: float) -> float:
     return ordered[low] + frac * (ordered[low + 1] - ordered[low])
 
 
-def code_counts(codes: bytes) -> list[int]:
+@lru_cache(maxsize=1)  # one command aggregates the same codes several times
+def code_counts(codes: bytes) -> tuple[int, ...]:
     """How often each score code k in 0-40 occurs in ``codes``, indexed by k."""
-    counts = [codes.count(k) for k in range(len(CODE_SCORES))]
+    counts = tuple(codes.count(k) for k in range(len(CODE_SCORES)))
     if sum(counts) != len(codes):
         raise ValueError(f"score codes run 0-{len(CODE_SCORES) - 1}")
     return counts
@@ -127,10 +129,10 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
 def _tally(scores: Sequence[float], key: Callable[[float], Hashable], keys: Iterable) -> dict:
     """Count scores per ``key(score)``, one entry per member of ``keys``, in that order."""
     counts = dict.fromkeys(keys, 0)
-    # Score codes are counted per code, other scores per distinct value, first-seen first;
-    # key runs once per entry, so it raises for the first bad score.
+    # Score codes are counted per code that occurs, other scores per distinct value,
+    # first-seen first; key runs once per entry, so it raises for the first bad score.
     if isinstance(scores, bytes):
-        counted = zip(CODE_SCORES, code_counts(scores))
+        counted = ((score, n) for score, n in zip(CODE_SCORES, code_counts(scores)) if n)
     else:
         counted = Counter(scores).items()
     for score, count in counted:

@@ -7,6 +7,7 @@ import math
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -103,6 +104,38 @@ def test_code_std_is_correctly_rounded(codes):
 
 
 def test_codes_above_40_are_rejected():
-    assert code_counts(bytes([0, 40, 40])) == [1] + [0] * 39 + [2]
+    assert code_counts(bytes([0, 40, 40])) == (1,) + (0,) * 39 + (2,)
     with pytest.raises(ValueError):
         code_counts(bytes([3, 41]))
+    # Each call checks again: a rejected count is not kept.
+    codes = bytes([41, 0])
+    for aggregate in (descriptive_stats, histogram_bins,
+                      *(partial(frequency_table, dimension=d) for d in DIMENSIONS)):
+        with pytest.raises(ValueError, match="score codes run 0-40"):
+            aggregate(codes)
+    valid = bytes([40, 0])
+    tables = {dimension: frequency_table(valid, dimension) for dimension in DIMENSIONS}
+    with pytest.raises(ValueError, match="score codes run 0-40"):
+        render_report(codes, descriptive_stats(valid), tables)
+
+
+class CountingCodes(bytes):
+    """Score codes that record how often one of their codes is counted."""
+
+    counted = 0
+
+    def count(self, *args):
+        self.counted += 1
+        return super().count(*args)
+
+
+def test_aggregates_count_the_codes_once():
+    # Codes no other test aggregates, so the counts are not already at hand.
+    codes = CountingCodes(bytes(range(41)) * 3 + bytes([7]))
+    descriptive_stats(codes)
+    tables = {dimension: frequency_table(codes, dimension) for dimension in DIMENSIONS}
+    bins = histogram_bins(codes)
+    assert codes.counted == 41
+    scores = [2.5 * k for k in codes]
+    assert tables == {dimension: frequency_table(scores, dimension) for dimension in DIMENSIONS}
+    assert bins == histogram_bins(scores)

@@ -167,9 +167,10 @@ def test_corrupted_fields_match_in_order_oracle(row, corruptions):
     assert outcome == expected_outcome(fields, line_no=2)
 
 
-# Delimiters the lookup path takes, and ones it must leave to the parser: answer
-# digits, and line boundaries of str.splitlines ("\x1e", "\x0c", "\x85").
-CODE_DELIMITERS = [";", ",", " ", "\t", "1", "5", "\x1e", "\x0c", "\x85"]
+# Delimiters the lookup takes, and answer digits, which it must leave to the parser.
+# Line boundaries of str.splitlines ("\x1e", "\x0c", "\x85", "\r") take the lookup too,
+# which reads the parser's lines, and miss on every line.
+CODE_DELIMITERS = [";", ",", " ", "\t", "1", "5", "\x1e", "\x0c", "\x85", "\r"]
 ODD_TOKENS = BAD_TOKENS + ["\x1f", "\x0c", " ", "\x0c3", "3 3"]
 
 
@@ -190,7 +191,7 @@ def response_files(draw):
         elif kind == "text":
             fields = [draw(st.text("12345;, \t\r\x0c\x1f\x1e\x85+0x", max_size=25))]
         lines.append(delimiter.join(fields))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
     bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
     return bom + text.encode("utf-8"), delimiter
@@ -226,6 +227,18 @@ def test_lookup_agrees_with_full_parse(response_file, case):
         # Odd-numbered items contribute answer - 1, even-numbered ones 5 - answer.
         assert list(codes) == [sum(a - 1 if item % 2 else 5 - a
                                    for item, a in enumerate(row.answers, 1)) for row in rows]
+
+
+def test_clean_crlf_and_cr_files_take_the_lookup(tmp_path):
+    lines = ["1;2;3;4;5;1;2;3;4;5", "5;5;5;5;5;1;1;1;1;1", "3;3;3;3;3;3;3;3;3;3"]
+    expected = parse_responses("\n".join(lines) + "\n")
+    path = tmp_path / "responses.csv"
+    for newline in ("\r\n", "\r"):
+        path.write_bytes((newline.join(lines) + newline).encode())
+        with mock.patch.object(ingest, "_parse", side_effect=AssertionError("full parse")):
+            report = load_responses(path)
+            assert (report.codes, report.source_line_count) == (expected.codes, 3)
+        assert report.rows == expected.rows
 
 
 def test_header_line_is_an_error_not_skipped():
