@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 LIKERT_MIN = 1
 LIKERT_MAX = 5
@@ -108,7 +108,7 @@ class ParseReport:
 
     ``codes`` holds each row's score code, one byte per row: the summed item
     contributions k in 0-40, so the row's SUS score is 2.5 * k. ``rows`` holds
-    the rows themselves, parsed on first use from text validated by lookup.
+    the rows themselves, built on first read from the validated text.
     """
 
     codes: bytes
@@ -126,44 +126,33 @@ def _score_code(a: Sequence[int]) -> int:
     return a[0] + a[2] + a[4] + a[6] + a[8] - a[1] - a[3] - a[5] - a[7] - a[9] + 20
 
 
-def _field_error(line_no: int, fields: list[str]) -> ParseError:
-    """The error for the first bad field of a line that failed to parse."""
-    for field_no, field in enumerate(fields, start=1):
-        token = field.strip()
-        try:
-            value = int(token)
-        except ValueError:
-            return NotAnIntegerError(line_no, field_no, token)
-        if not LIKERT_MIN <= value <= LIKERT_MAX:
-            return OutOfRangeError(line_no, field_no, value)
-
-
-def _parse(text: str, delimiter: str) -> ParseReport:
-    """:func:`parse_responses` line by line, building every row."""
-    lines = text.splitlines()
-    rows = []
+def _answers(lines: Sequence[str], delimiter: str) -> Iterator[tuple[int, ...]]:
+    """Each non-blank line's ten answers; the first bad line or field raises its error."""
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         fields = line.split(delimiter)
         if len(fields) != ITEMS_PER_RESPONSE:
             raise BadFieldCountError(line_no, len(fields))
-        try:
+        answers = []
+        for field_no, field in enumerate(fields, start=1):
             # str.strip also trims \x1f, which int() alone would reject.
-            rows.append(ResponseRow(tuple(map(int, map(str.strip, fields)))))
-        except ValueError:
-            raise _field_error(line_no, fields) from None
-    if not rows:
-        raise EmptyInputError()
-    rows = tuple(rows)
-    return ParseReport(bytes([_score_code(row.answers) for row in rows]), len(lines), lambda: rows)
+            token = field.strip()
+            try:
+                value = int(token)
+            except ValueError:
+                raise NotAnIntegerError(line_no, field_no, token) from None
+            if not LIKERT_MIN <= value <= LIKERT_MAX:
+                raise OutOfRangeError(line_no, field_no, value)
+            answers.append(value)
+        yield tuple(answers)
 
 
 @cache
 def _half_codes(delimiter: str) -> tuple[dict[str, int], dict[str, int]]:
     # Every valid first half "a;b;c;d;e" and second half ";f;g;h;i;j" of a line -> the summed
     # contributions of its five items (1, 5, 1, 5, 1 and 5, 1, 5, 1, 5 contribute nothing as
-    # items 1-5 and 6-10). The parser splits such a line into its ten digits only when the
+    # items 1-5 and 6-10). The walk splits such a line into its ten digits only when the
     # delimiter is one character and not a digit 1-5; for any other, both tables are empty.
     first, second = {}, {}
     if len(delimiter) == 1 and delimiter not in "12345":
@@ -177,21 +166,27 @@ def _half_codes(delimiter: str) -> tuple[dict[str, int], dict[str, int]]:
 def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
     """Parse response text into validated rows.
 
-    Lines may end in LF, CRLF or CR; blank lines are skipped but still count
-    toward error line numbers. Surrounding whitespace on a field is
-    trimmed before integer conversion.
+    Lines end where ``str.splitlines()`` ends them (LF, CRLF, CR and the other
+    Unicode boundaries); blank lines are skipped but still count toward error
+    line numbers. Surrounding whitespace on a field is trimmed before integer
+    conversion.
 
     Raises a :class:`ParseError` subclass pointing at the first offending
     line/field, or :class:`EmptyInputError` when nothing parseable remains.
     """
-    # The lookup reads the parser's lines (empty text as one blank line) and a hit as the
-    # parser would; any miss goes to the parser, which skips or reports it.
+    # A line the lookup finds is one the walk would read the same way; on any miss the walk
+    # reads every line, and skips or reports it.
+    lines = text.splitlines()
     first, second = _half_codes(delimiter)
     try:
-        codes = bytes([first[line[:9]] + second[line[9:]] for line in text.splitlines() or [""]])
+        codes = bytes([first[line[:9]] + second[line[9:]] for line in lines])
     except KeyError:
-        return _parse(text, delimiter)
-    return ParseReport(codes, len(codes), lambda: _parse(text, delimiter).rows)
+        codes = bytes(map(_score_code, _answers(lines, delimiter)))
+    if not codes:
+        raise EmptyInputError()
+    return ParseReport(
+        codes, len(lines), lambda: tuple(map(ResponseRow, _answers(text.splitlines(), delimiter)))
+    )
 
 
 def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
@@ -203,7 +198,8 @@ def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> Pars
     try:
         return parse_responses(Path(path).read_bytes().decode("utf-8-sig"), delimiter=delimiter)
     except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        # exc.object lacks any byte order mark; number lines as str.splitlines() does.
+        line_no = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         error = ParseError(f"not valid UTF-8: {exc.reason}", line_no=line_no)
     except ParseError as exc:
         error = exc

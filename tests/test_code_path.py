@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 
 from suskit import (
     DIMENSIONS,
+    ResponseRow,
     descriptive_stats,
     frequency_table,
     histogram_bins,
+    ingest,
     load_responses,
     render_category_chart,
     render_histogram,
@@ -80,6 +83,23 @@ def test_cli_outputs_equal_float_path(workdir, responses):
         target = workdir / f"{kind}.svg"
         assert run("chart", kind, str(source), "--output", str(target)) == ""
         assert target.read_bytes() == svg.encode("utf-8")
+
+
+def test_cli_builds_no_row(workdir):
+    answers = [(1, 2, 3, 4, 5, 1, 2, 3, 4, 5), (5, 5, 5, 5, 5, 1, 1, 1, 1, 1), (3,) * 10]
+    # Padded fields and a blank line miss the lookup, so every line takes the walk.
+    lines = [" ; ".join(map(str, row)) for row in answers]
+    source = workdir / "padded.csv"
+    source.write_bytes("\r\n".join([lines[0], "", *lines[1:], ""]).encode())
+    score_text, report, charts = float_path_outputs(score_all(map(ResponseRow, answers)))
+
+    with mock.patch.object(ingest, "ResponseRow", side_effect=AssertionError("row built")):
+        assert run("score", str(source)) == score_text
+        assert run("report", str(source), "--output", str(workdir / "report.txt")) == report
+        for kind, svg in charts.items():
+            target = workdir / f"{kind}.svg"
+            assert run("chart", kind, str(source), "--output", str(target)) == ""
+            assert target.read_bytes() == svg.encode("utf-8")
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),

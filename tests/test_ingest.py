@@ -219,7 +219,8 @@ def response_file(tmp_path_factory):
 def test_lookup_agrees_with_full_parse(response_file, case):
     data, delimiter = case
     response_file.write_bytes(data)
-    with mock.patch.object(ingest, "parse_responses", ingest._parse):
+    # Empty lookup tables send every line of the same parse_responses through the walk.
+    with mock.patch.object(ingest, "_half_codes", return_value=({}, {})):
         expected = _outcome(response_file, delimiter)
     assert _outcome(response_file, delimiter) == expected
     if isinstance(expected[0], bytes):
@@ -235,7 +236,7 @@ def test_clean_crlf_and_cr_files_take_the_lookup(tmp_path):
     path = tmp_path / "responses.csv"
     for newline in ("\r\n", "\r"):
         path.write_bytes((newline.join(lines) + newline).encode())
-        with mock.patch.object(ingest, "_parse", side_effect=AssertionError("full parse")):
+        with mock.patch.object(ingest, "_answers", side_effect=AssertionError("walk")):
             report = load_responses(path)
             assert (report.codes, report.source_line_count) == (expected.codes, 3)
         assert report.rows == expected.rows
@@ -267,6 +268,16 @@ def test_load_skips_utf8_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + GOOD_LINE.encode() + b"\r\n")
     report = load_responses(path)
     assert report.rows[0].answers == (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
+
+
+def test_undecodable_byte_numbered_by_the_parsers_lines(tmp_path):
+    path = tmp_path / "mac.csv"
+    # CR-only line ends: the bad byte is on line 3 though the file holds no LF.
+    path.write_bytes(f"{GOOD_LINE}\r{GOOD_LINE}\r".encode() + b"1;2;3;4;5;1;2;3;4;\xff\r")
+    with pytest.raises(ParseError, match="not valid UTF-8") as excinfo:
+        load_responses(path)
+    assert excinfo.value.line_no == 3
+    assert "line 3" in str(excinfo.value)
 
 
 def test_load_missing_file(tmp_path):
