@@ -17,9 +17,10 @@ from typing import Sequence
 from .charts import ChartDocument, render_category_chart, render_histogram
 from .ingest import DEFAULT_DELIMITER, ParseError, load_responses
 from .report import _CODE_VALUES, DEFAULT_REPORT_PATH, render_report, render_single_report, write_report
-# classify_each and score_all are not called here; the benchmark's span tracer looks them up.
+# classify_each, score_all and descriptive_stats are not called here;
+# the benchmark's span tracer looks them up.
 from .scoring import CODE_SCORES, DIMENSIONS, classify_each, score_all  # noqa: F401
-from .stats import descriptive_stats, frequency_table, histogram_bins
+from .stats import descriptive_stats, frequency_table, histogram_bins  # noqa: F401
 
 CHART_KINDS = ("histogram",) + DIMENSIONS
 
@@ -76,8 +77,7 @@ _PARSER = build_parser()
 def _report_text(codes: bytes) -> str:
     if len(codes) == 1:
         return render_single_report(CODE_SCORES[codes[0]])
-    tables = {dimension: frequency_table(codes, dimension) for dimension in DIMENSIONS}
-    return render_report(codes, descriptive_stats(codes), tables)
+    return render_report(codes)
 
 
 def _chart_document(codes: bytes, kind: str) -> ChartDocument:
@@ -100,8 +100,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write("\n".join(map(_CODE_VALUES.__getitem__, codes)) + "\n")
         elif args.command == "report":
             text = _report_text(codes)
+            write_report(text, args.output)  # an unwritable path fails before any output
             sys.stdout.write(text)
-            write_report(text, args.output)
         else:
             document = _chart_document(codes, args.kind)
             output = args.output if args.output is not None else f"{args.kind}.svg"

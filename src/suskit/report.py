@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .scoring import _TABLE, CODE_SCORES
-from .stats import FrequencyTable, SurveyStats, code_counts
+from .stats import descriptive_stats, frequency_table
 
 DEFAULT_REPORT_PATH = "results.txt"
 
@@ -58,19 +58,17 @@ _CODE_VALUES = tuple(map(_fmt1, CODE_SCORES))
 _CODE_SUMMARIES = tuple(_summary_line(_score_cells(score)) for score in CODE_SCORES)
 
 
-def render_report(
-    scores: Sequence[float], stats: SurveyStats, tables: Mapping[str, FrequencyTable]
-) -> str:
+def render_report(scores: Sequence[float]) -> str:
     """Render the full multi-response report.
 
-    ``tables`` maps each dimension name to its frequency table. Each row of
-    the summary table is labelled from its score. ``scores`` may be score
-    codes, a ``bytes`` of codes k standing for the scores 2.5 * k.
+    The statistics, the frequency tables and each row of the summary table
+    all come from ``scores``. ``scores`` may be score codes, a ``bytes`` of
+    codes k standing for the scores 2.5 * k.
     """
     if len(scores) < 2:
         raise InsufficientDataError()
+    stats = descriptive_stats(scores)  # also rejects a code above 40 before it is looked up
     if isinstance(scores, bytes):
-        code_counts(scores)  # rejects a code above 40, as the aggregates do
         keys, values, summaries = scores, _CODE_VALUES, _CODE_SUMMARIES
     else:
         # Lines per distinct score, keyed by repr: -0.0 == 0.0, but they print as -0.00 and 0.00.
@@ -92,8 +90,9 @@ def render_report(
 
     frequency_blocks = []
     for dimension, dim in _TABLE.items():
+        entries = frequency_table(scores, dimension).entries
         block = [_pair_line(dim.heading, "Number"), "-" * dim.rule]
-        block += [_pair_line(label.value, str(count)) for label, count in tables[dimension].entries]
+        block += [_pair_line(label.value, str(count)) for label, count in entries]
         frequency_blocks.append(block)
 
     summary_block = [_summary_line(_SCORE_FIELDS), "-" * 60, *map(summaries.__getitem__, keys)]

@@ -99,7 +99,7 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
     """Mean, sample standard deviation, and linearly interpolated quartiles.
 
     The standard deviation uses the n-1 denominator and is defined as 0
-    for a single score.
+    for a single score. A NaN or infinite score raises ``ValueError``.
     """
     if not scores:
         raise EmptyScoreSetError()
@@ -116,6 +116,9 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
         ordered = b"".join(bytes([k]) * count for k, count in enumerate(counts))
         q1, median, q3 = (2.5 * _quantile(ordered, p) for p in (0.25, 0.5, 0.75))
         return SurveyStats(2.5 * total / n, std, q1, median, q3)
+    for score in scores:  # score codes are always finite
+        if not math.isfinite(score):
+            raise ValueError(f"score {score} is not finite")
     ordered = sorted(scores)
     return SurveyStats(
         mean=fmean(scores),

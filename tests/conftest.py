@@ -6,13 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from suskit import (
-    DIMENSIONS,
-    descriptive_stats,
-    frequency_table,
-    load_responses,
-    render_report,
-)
+from suskit import load_responses
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -47,15 +41,3 @@ def golden_path() -> Path:
 def golden_report(golden_path) -> str:
     with open(golden_path, encoding="utf-8", newline="") as handle:
         return handle.read()
-
-
-@pytest.fixture
-def render_full_report():
-    """Compose the full multi-response report from a score list."""
-
-    def _render(scores):
-        stats = descriptive_stats(scores)
-        tables = {dimension: frequency_table(scores, dimension) for dimension in DIMENSIONS}
-        return render_report(scores, stats, tables)
-
-    return _render

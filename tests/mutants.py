@@ -1,0 +1,126 @@
+"""Replay recorded mutants of suskit against the tests that should kill them.
+
+Each mutant is a set of text patches to one module of a temporary copy of
+``src/``. Every patch must match its module exactly once. For each mutant only
+the named tests run, with ``PYTHONPATH`` pointing at the mutated copy; a
+mutant survives when they all pass. Before any mutant, the named tests must
+pass on an unpatched copy, so a kill always means the patch was caught.
+
+Run from anywhere, stdlib only (pytest does not collect this file)::
+
+    python tests/mutants.py
+
+Exit status: 0 when every mutant is killed, 1 when any survives, 2 when a
+patch does not apply or the tests fail on the unpatched copy.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # path under src/suskit
+    patches: tuple[tuple[str, str], ...]  # (old, new) text, each old found exactly once
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "lookup tables built for a digit delimiter",
+        "ingest.py",
+        (('if len(delimiter) == 1 and delimiter not in "12345":', "if len(delimiter) == 1:"),),
+        ("tests/test_ingest.py::test_lookup_agrees_with_full_parse",),
+    ),
+    Mutant(
+        "walk without the range check",
+        "ingest.py",
+        (("if not LIKERT_MIN <= value <= LIKERT_MAX:", "if False:"),),
+        ("tests/test_cli.py::test_out_of_range_diagnostic",),
+    ),
+    Mutant(
+        "walk reports the last bad field",
+        "ingest.py",
+        (
+            ("for field_no, field in enumerate(fields, start=1):",
+             "for field_no, field in reversed(list(enumerate(fields, start=1))):"),
+            ("answers.append(value)", "answers.insert(0, value)"),
+        ),
+        ("tests/test_ingest.py::test_corrupted_fields_match_in_order_oracle",),
+    ),
+    Mutant(
+        "tally counts each distinct score once",
+        "stats.py",
+        (("counts[key(score)] += count", "counts[key(score)] += 1"),),
+        ("tests/test_properties.py::test_tallies_match_per_row_counts",),
+    ),
+    Mutant(
+        "report statistics without the first score",
+        "report.py",
+        (("stats = descriptive_stats(scores)", "stats = descriptive_stats(scores[1:])"),),
+        ("tests/test_report.py::test_full_report_matches_golden",),
+    ),
+)
+
+
+def _misfits(mutant: Mutant) -> list[str]:
+    """One message per patch that does not match its module exactly once."""
+    text = (ROOT / "src" / "suskit" / mutant.module).read_text(encoding="utf-8")
+    return [f"{mutant.name}: {old!r} found {text.count(old)} times in {mutant.module}"
+            for old, _ in mutant.patches if text.count(old) != 1]
+
+
+def _mutated_copy(mutant: Mutant | None, into: Path) -> Path:
+    """Copy src/ into ``into`` and apply the mutant's patches; return the copy."""
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        path = src / "suskit" / mutant.module
+        text = path.read_text(encoding="utf-8")
+        for old, new in mutant.patches:
+            text = text.replace(old, new)
+        path.write_text(text, encoding="utf-8")
+    return src
+
+
+def _tests_pass(src: Path, tests: tuple[str, ...]) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    return result.returncode == 0
+
+
+def main() -> int:
+    misfits = [message for mutant in MUTANTS for message in _misfits(mutant)]
+    if misfits:
+        print("\n".join(misfits) + "\nevery patch must match exactly once", file=sys.stderr)
+        return 2
+    named = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        if not _tests_pass(_mutated_copy(None, Path(tmp)), named):
+            print("the named tests fail on the unpatched source", file=sys.stderr)
+            return 2
+    survivors = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            killed = not _tests_pass(_mutated_copy(mutant, Path(tmp)), mutant.tests)
+        survivors += not killed
+        verdict = "killed" if killed else "SURVIVED"
+        print(f"{verdict:<9}{time.perf_counter() - start:6.1f} s  {mutant.name}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

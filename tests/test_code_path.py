@@ -50,8 +50,7 @@ def float_path_outputs(scores):
     if len(scores) == 1:
         report = render_single_report(scores[0])
     else:
-        tables = {dimension: frequency_table(scores, dimension) for dimension in DIMENSIONS}
-        report = render_report(scores, descriptive_stats(scores), tables)
+        report = render_report(scores)
     charts = {"histogram": render_histogram(histogram_bins(scores)).svg_text}
     for dimension in DIMENSIONS:
         charts[dimension] = render_category_chart(frequency_table(scores, dimension)).svg_text
@@ -133,10 +132,8 @@ def test_codes_above_40_are_rejected():
                       *(partial(frequency_table, dimension=d) for d in DIMENSIONS)):
         with pytest.raises(ValueError, match="score codes run 0-40"):
             aggregate(codes)
-    valid = bytes([40, 0])
-    tables = {dimension: frequency_table(valid, dimension) for dimension in DIMENSIONS}
     with pytest.raises(ValueError, match="score codes run 0-40"):
-        render_report(codes, descriptive_stats(valid), tables)
+        render_report(codes)
 
 
 class CountingCodes(bytes):

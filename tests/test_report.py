@@ -12,33 +12,33 @@ from suskit import (
 )
 
 
-def test_full_report_matches_golden(sample_scores, golden_report, render_full_report):
-    assert render_full_report(sample_scores) == golden_report
+def test_full_report_matches_golden(sample_scores, golden_report):
+    assert render_report(sample_scores) == golden_report
 
 
-def test_rendering_is_deterministic(sample_scores, render_full_report):
-    assert render_full_report(sample_scores) == render_full_report(sample_scores)
+def test_rendering_is_deterministic(sample_scores):
+    assert render_report(sample_scores) == render_report(sample_scores)
 
 
-def test_report_ends_with_blank_line(sample_scores, render_full_report):
-    assert render_full_report(sample_scores).endswith("WORST IMAGINABLE\n\n")
+def test_report_ends_with_blank_line(sample_scores):
+    assert render_report(sample_scores).endswith("WORST IMAGINABLE\n\n")
 
 
-def test_blocks_separated_by_two_blank_lines(sample_scores, render_full_report):
-    text = render_full_report(sample_scores)
+def test_blocks_separated_by_two_blank_lines(sample_scores):
+    text = render_report(sample_scores)
     assert text.count("\n\n\n") == 5
     assert "\n\n\n\n" not in text
 
 
-def test_values_block_one_decimal(sample_scores, render_full_report):
-    lines = render_full_report(sample_scores).split("\n")
+def test_values_block_one_decimal(sample_scores):
+    lines = render_report(sample_scores).split("\n")
     assert lines[0] == "SUS values"
     assert lines[1] == "-" * 11
     assert lines[2:22] == [f"{score:.1f}" for score in sample_scores]
 
 
-def test_statistics_block_layout(sample_scores, render_full_report):
-    lines = render_full_report(sample_scores).split("\n")
+def test_statistics_block_layout(sample_scores):
+    lines = render_report(sample_scores).split("\n")
     stats_lines = lines[24:31]
     assert stats_lines[0] == "Statistic           Value               "
     assert stats_lines[1] == "-" * 26
@@ -49,8 +49,8 @@ def test_statistics_block_layout(sample_scores, render_full_report):
     assert stats_lines[6] == "Third Quartile (Q3) 92.50               "
 
 
-def test_summary_block_columns(sample_scores, render_full_report):
-    lines = render_full_report(sample_scores).split("\n")
+def test_summary_block_columns(sample_scores):
+    lines = render_report(sample_scores).split("\n")
     header_at = lines.index("SUS Value      Acceptability  Grade          Adjective      ")
     assert lines[header_at + 1] == "-" * 60
     first = lines[header_at + 2]
@@ -63,13 +63,11 @@ def test_summary_block_columns(sample_scores, render_full_report):
 
 def test_two_decimal_ties_round_half_away_from_zero():
     # q1 of [0, 2.5] is 0.625; half-even formatting would print 0.62.
-    from suskit import DIMENSIONS, descriptive_stats, frequency_table
+    from suskit import descriptive_stats
 
     scores = [0.0, 2.5]
-    stats = descriptive_stats(scores)
-    assert stats.q1 == 0.625
-    tables = {d: frequency_table(scores, d) for d in DIMENSIONS}
-    text = render_report(scores, stats, tables)
+    assert descriptive_stats(scores).q1 == 0.625
+    text = render_report(scores)
     assert "First Quartile (Q1) 0.63" in text
     assert "0.62" not in text
 
@@ -80,9 +78,9 @@ def _summary_rows(text: str, count: int) -> list[str]:
     return lines[header_at + 2 : header_at + 2 + count]
 
 
-def test_negative_zero_keeps_its_sign_in_every_row(render_full_report):
+def test_negative_zero_keeps_its_sign_in_every_row():
     # -0.0 == 0.0, so a memo keyed on the float itself would print both rows alike.
-    text = render_full_report([-0.0, 0.0])
+    text = render_report([-0.0, 0.0])
     lines = text.split("\n")
     assert lines[2:4] == ["-0.0", "0.0"]
     first, second = _summary_rows(text, 2)
@@ -90,19 +88,19 @@ def test_negative_zero_keeps_its_sign_in_every_row(render_full_report):
     assert second.startswith("0.00 ")
 
 
-def test_summary_rows_round_half_away_from_zero(render_full_report):
+def test_summary_rows_round_half_away_from_zero():
     # 0.125 and 0.375 are exact binary ties; half-even formatting would print 0.12 first.
-    first, second = _summary_rows(render_full_report([0.125, 0.375]), 2)
+    first, second = _summary_rows(render_report([0.125, 0.375]), 2)
     assert first.startswith("0.13 ")
     assert second.startswith("0.38 ")
 
 
 def test_insufficient_data_raises():
-    from suskit import SurveyStats
-
-    stats = SurveyStats(mean=90.0, sample_std=0.0, q1=90.0, median=90.0, q3=90.0)
-    with pytest.raises(InsufficientDataError):
-        render_report([90.0], stats, {})
+    # The length check comes first: no EmptyScoreSetError from the statistics, and no
+    # ValueError for the code 41, which the statistics reject before it is looked up.
+    for scores in ([], b"", [90.0], b"\x05", bytes([41])):
+        with pytest.raises(InsufficientDataError):
+            render_report(scores)
 
 
 @pytest.mark.parametrize(
@@ -125,8 +123,8 @@ def test_single_report_content(score, cells):
     assert len(lines) == 5
 
 
-def test_write_report_round_trip(tmp_path, sample_scores, render_full_report):
-    text = render_full_report(sample_scores)
+def test_write_report_round_trip(tmp_path, sample_scores):
+    text = render_report(sample_scores)
     target = tmp_path / "out.txt"
     write_report(text, target)
     assert target.read_bytes() == text.encode("utf-8")

@@ -13,6 +13,7 @@ from suskit import (
     descriptive_stats,
     frequency_table,
     histogram_bins,
+    render_report,
 )
 
 
@@ -72,6 +73,17 @@ def test_empty_scores_rejected():
             func([])
     with pytest.raises(EmptyScoreSetError):
         frequency_table([], "grade")
+
+
+def test_non_finite_scores_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        for scores in ([bad], [2.5, bad], [bad, 2.5]):
+            with pytest.raises(ValueError, match=f"^score {bad} is not finite$"):
+                descriptive_stats(scores)
+    # The first non-finite score in input order is named, and the report inherits the error.
+    for func in (descriptive_stats, render_report):
+        with pytest.raises(ValueError, match="^score -inf is not finite$"):
+            func([50.0, -math.inf, math.nan, math.inf])
 
 
 def as_pairs(table: FrequencyTable) -> list[tuple[str, int]]:
