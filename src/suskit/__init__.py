@@ -8,7 +8,6 @@ renders deterministic text reports and SVG charts.
 from .charts import (
     CATEGORY_TITLES,
     HISTOGRAM_TITLE,
-    ChartDocument,
     render_category_chart,
     render_histogram,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "Adjective",
     "BadFieldCountError",
     "CATEGORY_TITLES",
-    "ChartDocument",
     "DEFAULT_DELIMITER",
     "DEFAULT_REPORT_PATH",
     "DIMENSIONS",

@@ -9,7 +9,6 @@ tools) can read the chart semantics without rasterizing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .scoring import _TABLE, _dimension
 from .stats import FrequencyTable, HistogramBins
@@ -28,29 +27,17 @@ HISTOGRAM_TITLE = "SUS value histogram"
 CATEGORY_TITLES = {dimension: dim.chart_title for dimension, dim in _TABLE.items()}
 
 
-@dataclass(frozen=True)
-class ChartDocument:
-    """A complete SVG document plus its title and chart kind."""
-
-    svg_text: str
-    title: str
-    kind: str
-
-
-def render_histogram(bins: HistogramBins) -> ChartDocument:
-    """Histogram of scores over the ten 0-100 intervals."""
+def render_histogram(bins: HistogramBins) -> str:
+    """SVG histogram of scores over the ten 0-100 intervals, titled HISTOGRAM_TITLE."""
     bars = [(f"{10 * i}-{10 * (i + 1)}", count) for i, count in enumerate(bins.counts)]
     boundaries = [str(10 * i) for i in range(len(bins.counts) + 1)]
-    svg = _bar_chart_svg("histogram", HISTOGRAM_TITLE, bars, boundary_labels=boundaries)
-    return ChartDocument(svg_text=svg, title=HISTOGRAM_TITLE, kind="histogram")
+    return _bar_chart_svg("histogram", HISTOGRAM_TITLE, bars, boundary_labels=boundaries)
 
 
-def render_category_chart(table: FrequencyTable) -> ChartDocument:
-    """Bar chart of per-label counts for one categorical dimension."""
-    title = _dimension(table.dimension).chart_title
+def render_category_chart(table: FrequencyTable) -> str:
+    """SVG bar chart of per-label counts for one dimension, titled CATEGORY_TITLES[dimension]."""
     bars = [(label.value, count) for label, count in table.entries]
-    svg = _bar_chart_svg(table.dimension, title, bars)
-    return ChartDocument(svg_text=svg, title=title, kind=table.dimension)
+    return _bar_chart_svg(table.dimension, _dimension(table.dimension).chart_title, bars)
 
 
 def _escape(text: str) -> str:
@@ -119,18 +106,15 @@ def _bar_chart_svg(
         )
     parts.append("  </g>")
 
-    label_font = 12 if contiguous else 10
+    if contiguous:
+        label_font, labels, shift = 12, boundary_labels, 0
+    else:
+        label_font, labels, shift = 10, [label for label, _ in bars], 0.5
     parts.append(
         f'  <g class="x-labels" font-family="sans-serif" font-size="{label_font}" text-anchor="middle">'
     )
-    if contiguous:
-        for index, text in enumerate(boundary_labels):
-            parts.append(f'    <text x="{_n(x0 + index * slot)}" y="{y1 + 24}">{_escape(text)}</text>')
-    else:
-        for index, (label, _) in enumerate(bars):
-            parts.append(
-                f'    <text x="{_n(x0 + (index + 0.5) * slot)}" y="{y1 + 24}">{_escape(label)}</text>'
-            )
+    for index, text in enumerate(labels):
+        parts.append(f'    <text x="{_n(x0 + (index + shift) * slot)}" y="{y1 + 24}">{_escape(text)}</text>')
     parts.append("  </g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

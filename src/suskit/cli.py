@@ -14,7 +14,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .charts import ChartDocument, render_category_chart, render_histogram
+from .charts import render_category_chart, render_histogram
 from .ingest import DEFAULT_DELIMITER, ParseError, load_responses
 from .report import _CODE_VALUES, DEFAULT_REPORT_PATH, render_report, render_single_report, write_report
 # classify_each, score_all and descriptive_stats are not called here;
@@ -80,7 +80,7 @@ def _report_text(codes: bytes) -> str:
     return render_report(codes)
 
 
-def _chart_document(codes: bytes, kind: str) -> ChartDocument:
+def _chart_svg(codes: bytes, kind: str) -> str:
     if kind == "histogram":
         return render_histogram(histogram_bins(codes))
     return render_category_chart(frequency_table(codes, kind))
@@ -103,9 +103,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             write_report(text, args.output)  # an unwritable path fails before any output
             sys.stdout.write(text)
         else:
-            document = _chart_document(codes, args.kind)
             output = args.output if args.output is not None else f"{args.kind}.svg"
-            write_report(document.svg_text, output)
+            write_report(_chart_svg(codes, args.kind), output)
     except (ParseError, OSError) as exc:
         print(f"suskit: {exc}", file=sys.stderr)
         return 1

@@ -196,7 +196,9 @@ def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> Pars
     errors, undecodable bytes included, carry the path in their message.
     """
     try:
-        return parse_responses(Path(path).read_bytes().decode("utf-8-sig"), delimiter=delimiter)
+        with open(path, "rb") as handle:  # not Path(path): Path("") is "."
+            text = handle.read().decode("utf-8-sig")
+        return parse_responses(text, delimiter=delimiter)
     except UnicodeDecodeError as exc:
         # exc.object lacks any byte order mark; number lines as str.splitlines() does.
         line_no = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())

@@ -112,4 +112,5 @@ def write_report(text: str, path: str | Path = DEFAULT_REPORT_PATH) -> None:
 
     Parent directories are not created, and OS errors propagate unchanged.
     """
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    with open(path, "w", encoding="utf-8", newline="") as handle:  # not Path(path): Path("") is "."
+        handle.write(text)

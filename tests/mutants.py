@@ -70,6 +70,33 @@ MUTANTS = (
         (("stats = descriptive_stats(scores)", "stats = descriptive_stats(scores[1:])"),),
         ("tests/test_report.py::test_full_report_matches_golden",),
     ),
+    Mutant(
+        "code summaries taken from the next code",
+        "report.py",
+        (("_summary_line(_score_cells(score)) for score in CODE_SCORES",
+          "_summary_line(_score_cells(score + 2.5)) for score in CODE_SCORES"),),
+        # Not test_cli_outputs_equal_float_path: hypothesis shrinks this mutant for minutes.
+        ("tests/test_acceptance.py::test_c3_byte_exact_golden_report",),
+    ),
+    Mutant(
+        "code square root without the round-to-odd bit",
+        "stats.py",
+        (("math.ldexp(root | (root * root * den != num), shift)", "math.ldexp(root, shift)"),),
+        ("tests/test_code_path.py::test_code_std_is_correctly_rounded",),
+    ),
+    Mutant(
+        "band bounds bisected from the left",
+        "scoring.py",
+        (("from bisect import bisect_right", "from bisect import bisect_left as bisect_right"),),
+        ("tests/test_scoring.py::test_grade_bands",),
+    ),
+    Mutant(
+        "category labels on the slot edge",
+        "charts.py",
+        (("label_font, labels, shift = 10, [label for label, _ in bars], 0.5",
+          "label_font, labels, shift = 10, [label for label, _ in bars], 0"),),
+        ("tests/test_cli.py::test_all_chart_kinds_render",),
+    ),
 )
 
 

@@ -274,12 +274,12 @@ def svg_bar_pairs(svg_text: str) -> list[tuple[str, int]]:
 def test_c7_chart_semantics(sample_scores):
     for dimension in DIMENSIONS:
         table = frequency_table(sample_scores, dimension)
-        pairs = svg_bar_pairs(render_category_chart(table).svg_text)
+        pairs = svg_bar_pairs(render_category_chart(table))
         assert pairs == [(label.value, count) for label, count in table.entries]
 
     bins = histogram_bins(sample_scores)
     assert bins.counts == EXPECTED_HISTOGRAM
-    histogram_pairs = svg_bar_pairs(render_histogram(bins).svg_text)
+    histogram_pairs = svg_bar_pairs(render_histogram(bins))
     assert [count for _, count in histogram_pairs] == list(EXPECTED_HISTOGRAM)
     print("C7 PASS: SVG bars recover all 3 frequency tables and histogram 1/0/1/0/1/0/0/0/6/11")
 

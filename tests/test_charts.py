@@ -37,11 +37,16 @@ def bar_pairs(svg_text: str) -> list[tuple[str, int]]:
     return [(bar["data-label"], int(bar["data-count"])) for bar in parse_bars(svg_text)]
 
 
+def kind_and_title(svg_text: str) -> tuple[str, str]:
+    """The root's data-kind and the text of its first <text> element."""
+    root = ET.fromstring(svg_text)
+    return root.get("data-kind"), root.find(f"{SVG_NS}text").text
+
+
 def test_histogram_semantics(sample_scores):
-    doc = render_histogram(histogram_bins(sample_scores))
-    assert doc.kind == "histogram"
-    assert doc.title == HISTOGRAM_TITLE
-    pairs = bar_pairs(doc.svg_text)
+    svg = render_histogram(histogram_bins(sample_scores))
+    assert kind_and_title(svg) == ("histogram", HISTOGRAM_TITLE)
+    pairs = bar_pairs(svg)
     assert [label for label, _ in pairs] == [
         "0-10", "10-20", "20-30", "30-40", "40-50",
         "50-60", "60-70", "70-80", "80-90", "90-100",
@@ -50,8 +55,8 @@ def test_histogram_semantics(sample_scores):
 
 
 def test_root_metadata(sample_scores):
-    doc = render_histogram(histogram_bins(sample_scores))
-    root = ET.fromstring(doc.svg_text)
+    svg = render_histogram(histogram_bins(sample_scores))
+    root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.get("data-kind") == "histogram"
     assert root.get("data-total") == "20"
@@ -82,18 +87,15 @@ def test_root_metadata(sample_scores):
 )
 def test_category_chart_semantics(sample_scores, dimension, expected):
     table = frequency_table(sample_scores, dimension)
-    doc = render_category_chart(table)
-    assert doc.kind == dimension
-    assert doc.title == CATEGORY_TITLES[dimension]
-    assert bar_pairs(doc.svg_text) == expected
-    root = ET.fromstring(doc.svg_text)
-    assert root.get("data-kind") == dimension
-    assert root.get("data-total") == "20"
+    svg = render_category_chart(table)
+    assert kind_and_title(svg) == (dimension, CATEGORY_TITLES[dimension])
+    assert bar_pairs(svg) == expected
+    assert ET.fromstring(svg).get("data-total") == "20"
 
 
 def test_zero_count_bars_still_drawn(sample_scores):
     table = frequency_table(sample_scores, "grade")
-    bars = parse_bars(render_category_chart(table).svg_text)
+    bars = parse_bars(render_category_chart(table))
     zero_bars = [bar for bar in bars if bar["data-count"] == "0"]
     assert len(zero_bars) == 2
     for bar in zero_bars:
@@ -102,18 +104,18 @@ def test_zero_count_bars_still_drawn(sample_scores):
 
 def test_rendering_is_deterministic(sample_scores):
     bins = histogram_bins(sample_scores)
-    assert render_histogram(bins).svg_text == render_histogram(bins).svg_text
+    assert render_histogram(bins) == render_histogram(bins)
 
 
 def test_title_element_present(sample_scores):
-    doc = render_histogram(histogram_bins(sample_scores))
-    root = ET.fromstring(doc.svg_text)
+    svg = render_histogram(histogram_bins(sample_scores))
+    root = ET.fromstring(svg)
     texts = [el.text for el in root.iter(f"{SVG_NS}text")]
     assert HISTOGRAM_TITLE in texts
 
 
 def test_bar_heights_proportional_to_counts(sample_scores):
-    bars = parse_bars(render_histogram(histogram_bins(sample_scores)).svg_text)
+    bars = parse_bars(render_histogram(histogram_bins(sample_scores)))
     counts = [int(bar["data-count"]) for bar in bars]
     heights = [float(bar["height"]) for bar in bars]
     top = max(counts)
@@ -124,17 +126,17 @@ def test_bar_heights_proportional_to_counts(sample_scores):
 
 def test_max_bar_fills_plot_height():
     bins = HistogramBins(counts=(0, 0, 0, 3, 0, 0, 0, 0, 0, 0))
-    bars = parse_bars(render_histogram(bins).svg_text)
+    bars = parse_bars(render_histogram(bins))
     assert float(bars[3]["height"]) == 480.0
     assert float(bars[3]["y"]) == 60.0
 
 
 def test_bars_stay_inside_plot_area(sample_scores):
-    for doc in (
+    for svg in (
         render_histogram(histogram_bins(sample_scores)),
         render_category_chart(frequency_table(sample_scores, "adjective")),
     ):
-        for bar in parse_bars(doc.svg_text):
+        for bar in parse_bars(svg):
             x = float(bar["x"])
             width = float(bar["width"])
             y = float(bar["y"])
@@ -145,16 +147,16 @@ def test_bars_stay_inside_plot_area(sample_scores):
 
 
 def test_histogram_boundary_labels(sample_scores):
-    doc = render_histogram(histogram_bins(sample_scores))
-    root = ET.fromstring(doc.svg_text)
+    svg = render_histogram(histogram_bins(sample_scores))
+    root = ET.fromstring(svg)
     groups = [el for el in root.iter(f"{SVG_NS}g") if el.get("class") == "x-labels"]
     labels = [text.text for text in groups[0]]
     assert labels == [str(10 * i) for i in range(11)]
 
 
 def test_category_labels_under_bars(sample_scores):
-    doc = render_category_chart(frequency_table(sample_scores, "grade"))
-    root = ET.fromstring(doc.svg_text)
+    svg = render_category_chart(frequency_table(sample_scores, "grade"))
+    root = ET.fromstring(svg)
     groups = [el for el in root.iter(f"{SVG_NS}g") if el.get("class") == "x-labels"]
     labels = [text.text for text in groups[0]]
     assert labels == ["A", "B", "C", "D", "F"]
@@ -169,10 +171,10 @@ def test_unknown_dimension_rejected():
 
 
 def test_svg_is_well_formed_single_root(sample_scores):
-    doc = render_category_chart(frequency_table(sample_scores, "acceptability"))
-    ET.fromstring(doc.svg_text)
-    assert doc.svg_text.startswith("<svg ")
-    assert doc.svg_text.endswith("</svg>\n")
+    svg = render_category_chart(frequency_table(sample_scores, "acceptability"))
+    ET.fromstring(svg)
+    assert svg.startswith("<svg ")
+    assert svg.endswith("</svg>\n")
 
 
 markup_texts = st.text(alphabet="&<>\"'a ;", max_size=12)

@@ -86,10 +86,11 @@ def test_chart_output_flag_and_semantics(capsys, tmp_path, sample_path):
 
 @pytest.mark.parametrize("kind", ["histogram", "acceptability", "grade", "adjective"])
 def test_all_chart_kinds_render(capsys, tmp_path, sample_path, kind):
+    # The golden files pin every coordinate, tick, stroke and font size, not only the bars.
     target = tmp_path / f"{kind}.svg"
     code, _, _ = run_cli(capsys, "chart", kind, str(sample_path), "--output", str(target))
     assert code == 0
-    assert target.read_text(encoding="utf-8").startswith("<svg ")
+    assert target.read_bytes() == sample_path.with_name(f"sample20_{kind}.svg").read_bytes()
 
 
 def test_missing_input_file(capsys, tmp_path):
@@ -99,6 +100,17 @@ def test_missing_input_file(capsys, tmp_path):
     assert out == ""
     assert str(missing) in err
     assert err.startswith("suskit:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", ""], ["report", "SAMPLE", "--output", ""], ["chart", "grade", "SAMPLE", "--output", ""]],
+    ids=["score", "report", "chart"],
+)
+def test_empty_path_is_not_the_current_directory(capsys, sample_path, argv):
+    # An empty path names no file; as a Path it would be ".", the current directory.
+    argv = [str(sample_path) if arg == "SAMPLE" else arg for arg in argv]
+    assert run_cli(capsys, *argv) == (1, "", "suskit: [Errno 2] No such file or directory: ''\n")
 
 
 def test_parse_error_diagnostic_has_coordinates(capsys, tmp_path):

@@ -51,9 +51,9 @@ def float_path_outputs(scores):
         report = render_single_report(scores[0])
     else:
         report = render_report(scores)
-    charts = {"histogram": render_histogram(histogram_bins(scores)).svg_text}
+    charts = {"histogram": render_histogram(histogram_bins(scores))}
     for dimension in DIMENSIONS:
-        charts[dimension] = render_category_chart(frequency_table(scores, dimension)).svg_text
+        charts[dimension] = render_category_chart(frequency_table(scores, dimension))
     return "".join(f"{score:.1f}\n" for score in scores), report, charts
 
 

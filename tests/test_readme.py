@@ -1,0 +1,20 @@
+"""The README's library example runs as written."""
+
+from __future__ import annotations
+
+import re
+import shutil
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_use_example_runs(tmp_path, monkeypatch, sample_path, golden_report):
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    shutil.copyfile(sample_path, tmp_path / "responses.csv")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(example, namespace)
+    assert (tmp_path / "results.txt").read_bytes() == golden_report.encode("utf-8")
+    assert namespace["svg"].startswith("<svg ")
