@@ -9,6 +9,7 @@ aborts the parse with 1-based coordinates.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
@@ -192,11 +193,11 @@ def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseRepor
 def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
     """Read a UTF-8 response file, with or without a byte order mark, and parse it.
 
-    A missing file raises the usual :class:`FileNotFoundError`; parse
-    errors, undecodable bytes included, carry the path in their message.
+    A missing file raises the usual :class:`FileNotFoundError`, an ``int`` path
+    ``TypeError``; parse errors, undecodable bytes included, carry the path.
     """
     try:
-        with open(path, "rb") as handle:  # not Path(path): Path("") is "."
+        with open(os.fspath(path), "rb") as handle:  # an int is no path; Path("") is "."
             text = handle.read().decode("utf-8-sig")
         return parse_responses(text, delimiter=delimiter)
     except UnicodeDecodeError as exc:

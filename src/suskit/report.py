@@ -7,6 +7,7 @@ the test suite, down to column padding and separator lengths.
 
 from __future__ import annotations
 
+import os
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Sequence
@@ -110,7 +111,8 @@ def render_single_report(score: float) -> str:
 def write_report(text: str, path: str | Path = DEFAULT_REPORT_PATH) -> None:
     """Write report text to ``path`` byte-for-byte (no newline translation).
 
-    Parent directories are not created, and OS errors propagate unchanged.
+    Parent directories are not created, OS errors propagate unchanged, and an ``int``
+    path raises ``TypeError``.
     """
-    with open(path, "w", encoding="utf-8", newline="") as handle:  # not Path(path): Path("") is "."
+    with open(os.fspath(path), "w", encoding="utf-8", newline="") as handle:  # see load_responses
         handle.write(text)

@@ -1,17 +1,20 @@
 """Descriptive statistics, frequency tables, and histogram binning for score sets.
 
-A score set may also be given as score codes, a ``bytes`` of k in 0-40 for the
-scores 2.5 * k; those are aggregated from their 41 counts.
+Every aggregate is a function of the distinct scores and their counts, at most 41
+pairs for SUS scores. A score set may also be given as score codes, a ``bytes`` of
+k in 0-40 for the scores 2.5 * k, whose pairs come from the 41 counts of k. The
+sums behind the mean and the variance are exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from statistics import fmean, stdev
+from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .scoring import CODE_SCORES, _dimension
@@ -67,16 +70,6 @@ class HistogramBins:
         return sum(self.counts)
 
 
-def _quantile(ordered: Sequence[float], p: float) -> float:
-    # Linear interpolation at fractional rank p * (n - 1) over the sorted sample.
-    h = p * (len(ordered) - 1)
-    low = math.floor(h)
-    frac = h - low
-    if frac == 0.0:
-        return float(ordered[low])
-    return ordered[low] + frac * (ordered[low + 1] - ordered[low])
-
-
 @lru_cache(maxsize=1)  # one command aggregates the same codes several times
 def code_counts(codes: bytes) -> tuple[int, ...]:
     """How often each score code k in 0-40 occurs in ``codes``, indexed by k."""
@@ -95,60 +88,66 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
     return math.ldexp(root | (root * root * den != num), shift)
 
 
+def _counted(scores: Sequence[float]) -> dict[float, int]:
+    """Each distinct score of a score set with its count, first seen first.
+
+    ``-0.0`` counts as ``0.0``. A NaN or infinite score raises ``ValueError``,
+    naming the first one in input order.
+    """
+    if not scores:
+        raise EmptyScoreSetError()
+    if isinstance(scores, bytes):
+        return {score: n for score, n in zip(CODE_SCORES, code_counts(scores)) if n}
+    counts = {score or 0.0: n for score, n in Counter(scores).items()}  # -0.0 becomes 0.0
+    for score in counts:
+        if not math.isfinite(score):
+            raise ValueError(f"score {score} is not finite")
+    return counts
+
+
 def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
     """Mean, sample standard deviation, and linearly interpolated quartiles.
 
     The standard deviation uses the n-1 denominator and is defined as 0
     for a single score. A NaN or infinite score raises ``ValueError``.
     """
-    if not scores:
-        raise EmptyScoreSetError()
-    if isinstance(scores, bytes):
-        # The floats of the float path, but for the standard deviation: the correctly rounded
-        # root of the exact variance, as statistics.stdev gives it from Python 3.11 on.
-        counts = code_counts(scores)
-        n = len(scores)
-        total = sum(k * count for k, count in enumerate(counts))
-        squares = sum(k * k * count for k, count in enumerate(counts))
-        # The variance of the scores 2.5 * k is 6.25 * (n * squares - total**2) / (n * (n - 1)).
-        std = _sqrt_of_ratio(25 * (n * squares - total * total), 4 * n * (n - 1)) if n > 1 else 0.0
-        # Ranks fall on quarters, so interpolating codes, then scaling by 2.5, is exact as well.
-        ordered = b"".join(bytes([k]) * count for k, count in enumerate(counts))
-        q1, median, q3 = (2.5 * _quantile(ordered, p) for p in (0.25, 0.5, 0.75))
-        return SurveyStats(2.5 * total / n, std, q1, median, q3)
-    for score in scores:  # score codes are always finite
-        if not math.isfinite(score):
-            raise ValueError(f"score {score} is not finite")
-    ordered = sorted(scores)
-    return SurveyStats(
-        mean=fmean(scores),
-        sample_std=stdev(scores) if len(scores) > 1 else 0.0,
-        q1=_quantile(ordered, 0.25),
-        median=_quantile(ordered, 0.5),
-        q3=_quantile(ordered, 0.75),
-    )
+    counts = _counted(scores)
+    ordered = sorted(counts)
+    weights = [counts[score] for score in ordered]
+    n = len(scores)
+    # Every score is num / den with den a power of two, so an integer over the largest den.
+    ratios = [score.as_integer_ratio() for score in ordered]
+    scale = max(den for _, den in ratios)
+    scaled = [num * (scale // den) for num, den in ratios]
+    total = sum(x * count for x, count in zip(scaled, weights))
+    squares = sum(x * x * count for x, count in zip(scaled, weights))
+    std = _sqrt_of_ratio(n * squares - total * total, n * (n - 1) * scale**2) if n > 1 else 0.0
+    # The score at 0-based rank r in sorted order is the first whose cumulative count exceeds r.
+    ranks = list(accumulate(weights))
+    quartiles = []
+    for h in (0.25 * (n - 1), 0.5 * (n - 1), 0.75 * (n - 1)):  # fractional ranks
+        low = math.floor(h)
+        q = float(ordered[bisect_right(ranks, low)])
+        if h > low:  # interpolate towards the next score in sorted order
+            q += (h - low) * (ordered[bisect_right(ranks, low + 1)] - q)
+        quartiles.append(q)
+    # total / scale is the correctly rounded sum, so the mean equals math.fsum(scores) / n.
+    return SurveyStats(total / scale / n, std, *quartiles)
 
 
-def _tally(scores: Sequence[float], key: Callable[[float], Hashable], keys: Iterable) -> dict:
-    """Count scores per ``key(score)``, one entry per member of ``keys``, in that order."""
-    counts = dict.fromkeys(keys, 0)
-    # Score codes are counted per code that occurs, other scores per distinct value,
-    # first-seen first; key runs once per entry, so it raises for the first bad score.
-    if isinstance(scores, bytes):
-        counted = ((score, n) for score, n in zip(CODE_SCORES, code_counts(scores)) if n)
-    else:
-        counted = Counter(scores).items()
-    for score, count in counted:
-        counts[key(score)] += count
-    return counts
+def _tally(counts: dict[float, int], key: Callable[[float], Hashable], keys: Iterable) -> dict:
+    """Sum ``counts`` per ``key(score)``, one entry per member of ``keys``, in that order."""
+    tally = dict.fromkeys(keys, 0)
+    for score, count in counts.items():
+        tally[key(score)] += count
+    return tally
 
 
 def frequency_table(scores: Sequence[float], dimension: str) -> FrequencyTable:
     """Count scores per label of one dimension; zero-count labels included."""
-    if not scores:
-        raise EmptyScoreSetError()
+    counts = _counted(scores)
     dim = _dimension(dimension)
-    return FrequencyTable(dimension, tuple(_tally(scores, dim.classify, dim.labels).items()))
+    return FrequencyTable(dimension, tuple(_tally(counts, dim.classify, dim.labels).items()))
 
 
 def _bin(score: float) -> int:
@@ -159,6 +158,4 @@ def _bin(score: float) -> int:
 
 def histogram_bins(scores: Sequence[float]) -> HistogramBins:
     """Bin scores into ten equal intervals; the last bin is closed at 100."""
-    if not scores:
-        raise EmptyScoreSetError()
-    return HistogramBins(tuple(_tally(scores, _bin, range(NUM_BINS)).values()))
+    return HistogramBins(tuple(_tally(_counted(scores), _bin, range(NUM_BINS)).values()))

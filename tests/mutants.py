@@ -61,7 +61,7 @@ MUTANTS = (
     Mutant(
         "tally counts each distinct score once",
         "stats.py",
-        (("counts[key(score)] += count", "counts[key(score)] += 1"),),
+        (("tally[key(score)] += count", "tally[key(score)] += 1"),),
         ("tests/test_properties.py::test_tallies_match_per_row_counts",),
     ),
     Mutant(
@@ -83,6 +83,24 @@ MUTANTS = (
         "stats.py",
         (("math.ldexp(root | (root * root * den != num), shift)", "math.ldexp(root, shift)"),),
         ("tests/test_code_path.py::test_code_std_is_correctly_rounded",),
+    ),
+    Mutant(
+        "common denominator taken from the smallest ratio",
+        "stats.py",
+        (("scale = max(den for _, den in ratios)", "scale = min(den for _, den in ratios)"),),
+        ("tests/test_stats.py::test_sample_statistics",),
+    ),
+    Mutant(
+        "quartile rank found from the left",
+        "stats.py",
+        (("from bisect import bisect_right", "from bisect import bisect_left as bisect_right"),),
+        ("tests/test_stats.py::test_quartiles_interpolate_between_order_statistics",),
+    ),
+    Mutant(
+        "negative zero counted apart from zero",
+        "stats.py",
+        (("{score or 0.0: n for", "{score: n for"),),
+        ("tests/test_stats.py::test_negative_zero_counts_as_zero",),
     ),
     Mutant(
         "band bounds bisected from the left",

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import suskit.__main__
+from suskit import load_responses, write_report
 from suskit.cli import main
 
 GOOD_LINE = "5;2;5;1;4;1;5;1;4;2"
@@ -111,6 +112,27 @@ def test_empty_path_is_not_the_current_directory(capsys, sample_path, argv):
     # An empty path names no file; as a Path it would be ".", the current directory.
     argv = [str(sample_path) if arg == "SAMPLE" else arg for arg in argv]
     assert run_cli(capsys, *argv) == (1, "", "suskit: [Errno 2] No such file or directory: ''\n")
+
+
+def test_integer_path_is_not_a_file_descriptor():
+    # open() takes an int as a file descriptor, which it would use and then close.
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(read_fd, False)  # a read from the empty pipe fails instead of waiting
+    try:
+        with pytest.raises(TypeError):
+            write_report("5.0\n", write_fd)
+        with pytest.raises(TypeError):
+            load_responses(read_fd)
+        for fd in (read_fd, write_fd):
+            os.fstat(fd)  # still open
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    # The empty path keeps its diagnostic.
+    with pytest.raises(FileNotFoundError, match="''"):
+        load_responses("")
+    with pytest.raises(FileNotFoundError, match="''"):
+        write_report("5.0\n", "")
 
 
 def test_parse_error_diagnostic_has_coordinates(capsys, tmp_path):
@@ -254,8 +276,8 @@ def test_report_runs_without_site_packages(tmp_path, sample_path, golden_report)
     assert target.read_bytes() == golden_report.encode("utf-8")
 
 
-def test_cli_import_loads_no_network_modules():
-    # xml.sax.saxutils imports these, and they took longer to load than the CLI itself.
+def modules_loaded_by_cli_import() -> set[str]:
+    """The modules in a fresh interpreter's sys.modules after ``import suskit.cli``."""
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, suskit.cli; print(*sorted(sys.modules))"],
@@ -266,7 +288,18 @@ def test_cli_import_loads_no_network_modules():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "suskit.cli" in loaded
-    assert not loaded & {"xml.sax", "urllib.request", "http.client", "email"}
+    return loaded
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils imports these, and they took longer to load than the CLI itself.
+    network = {"xml.sax", "urllib.request", "http.client", "email"}
+    assert not modules_loaded_by_cli_import() & network
+
+
+def test_cli_import_loads_no_statistics():
+    # The aggregates need only integer sums over counts; statistics also loads random.
+    assert "statistics" not in modules_loaded_by_cli_import()
 
 
 def test_declared_console_script_is_module_main():

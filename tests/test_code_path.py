@@ -1,10 +1,9 @@
-"""The CLI's score-code route, pinned to the library's float path on the same input."""
+"""The CLI's score-code route, pinned to the library's float path and to reference statistics."""
 
 from __future__ import annotations
 
 import io
 import math
-import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import partial
@@ -101,21 +100,60 @@ def test_cli_builds_no_row(workdir):
             assert target.read_bytes() == svg.encode("utf-8")
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="statistics.stdev rounds its result twice before Python 3.11")
+# Grid scores, off-grid floats (band edges, exact two-decimal ties, subnormals), -0.0 and
+# scores far outside 0-100.
+float_lists = st.lists(
+    st.one_of(
+        st.integers(0, 40).map(lambda k: 2.5 * k),
+        st.floats(0, 100),
+        st.sampled_from([59.9, 62.4, 0.125, 0.375, -0.0]),
+        st.floats(-50, 1e6),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+def reference_stats(scores) -> tuple[float, float, float, float]:
+    """Mean and quartiles: math.fsum over n, and interpolation at rank p * (n - 1) of sorted."""
+    ordered = sorted(scores)
+    n = len(ordered)
+    quartiles = []
+    for p in (0.25, 0.5, 0.75):
+        h = p * (n - 1)
+        low = math.floor(h)
+        frac = h - low
+        if frac == 0:
+            quartiles.append(float(ordered[low]))
+        else:
+            quartiles.append(ordered[low] + frac * (ordered[low + 1] - ordered[low]))
+    return (math.fsum(scores) / n, *quartiles)
+
+
 @given(codes=code_lists)
 def test_code_stats_equal_float_stats(codes):
-    expected = descriptive_stats([2.5 * k for k in codes])
-    assert repr(descriptive_stats(codes)) == repr(expected)
+    scores = [2.5 * k for k in codes]
+    stats = descriptive_stats(codes)
+    assert repr(stats) == repr(descriptive_stats(scores))
+    assert (stats.mean, stats.q1, stats.median, stats.q3) == reference_stats(scores)
 
 
-@given(codes=code_lists)
-def test_code_std_is_correctly_rounded(codes):
-    scores = [Fraction(5, 2) * k for k in codes]
-    n = len(scores)
-    mean = sum(scores) / n
-    variance = sum((x - mean) ** 2 for x in scores) / (n - 1) if n > 1 else Fraction(0)
-    std = descriptive_stats(codes).sample_std
+@given(scores=float_lists)
+def test_float_stats_equal_reference(scores):
+    stats = descriptive_stats(scores)
+    assert (stats.mean, stats.q1, stats.median, stats.q3) == reference_stats(scores)
+
+
+@given(scores=st.one_of(code_lists, float_lists))
+def test_code_std_is_correctly_rounded(scores):
+    if isinstance(scores, bytes):
+        exact = [Fraction(5, 2) * k for k in scores]
+    else:
+        exact = list(map(Fraction, scores))
+    n = len(exact)
+    mean = sum(exact) / n
+    variance = sum((x - mean) ** 2 for x in exact) / (n - 1) if n > 1 else Fraction(0)
+    std = descriptive_stats(scores).sample_std
     # The exact root lies within half an ulp of std: between the midpoints to its neighbours.
     below = max(Fraction(0), (Fraction(std) + Fraction(math.nextafter(std, -math.inf))) / 2)
     above = (Fraction(std) + Fraction(math.nextafter(std, math.inf))) / 2

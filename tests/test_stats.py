@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import permutations
 
 import pytest
 
 from suskit import (
+    DIMENSIONS,
     EmptyScoreSetError,
     FrequencyTable,
     HistogramBins,
@@ -75,15 +78,31 @@ def test_empty_scores_rejected():
         frequency_table([], "grade")
 
 
+AGGREGATES = (
+    descriptive_stats,
+    histogram_bins,
+    *(partial(frequency_table, dimension=d) for d in DIMENSIONS),
+)
+
+
 def test_non_finite_scores_rejected():
-    for bad in (math.nan, math.inf, -math.inf):
-        for scores in ([bad], [2.5, bad], [bad, 2.5]):
-            with pytest.raises(ValueError, match=f"^score {bad} is not finite$"):
-                descriptive_stats(scores)
+    # Not labelled as the top or bottom band, nor binned as "outside 0-100".
+    for func in AGGREGATES:
+        for bad in (math.nan, math.inf, -math.inf):
+            for scores in ([bad], [2.5, bad], [bad, 2.5]):
+                with pytest.raises(ValueError, match=f"^score {bad} is not finite$"):
+                    func(scores)
     # The first non-finite score in input order is named, and the report inherits the error.
-    for func in (descriptive_stats, render_report):
+    for func in (*AGGREGATES, render_report):
         with pytest.raises(ValueError, match="^score -inf is not finite$"):
             func([50.0, -math.inf, math.nan, math.inf])
+
+
+def test_negative_zero_counts_as_zero():
+    # The statistics do not depend on the order, or the sign, of the zeros.
+    stats = {repr(descriptive_stats(list(zeros))) for zeros in permutations([0.0, -0.0, 0.0])}
+    assert stats == {repr(descriptive_stats([0.0, 0.0, 0.0]))}
+    assert repr(descriptive_stats([-0.0, -0.0])) == repr(descriptive_stats([0.0, 0.0]))
 
 
 def as_pairs(table: FrequencyTable) -> list[tuple[str, int]]:
