@@ -11,8 +11,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import product
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -149,19 +148,23 @@ def _answers(lines: Sequence[str], delimiter: str) -> Iterator[tuple[int, ...]]:
         yield tuple(answers)
 
 
-@cache
-def _half_codes(delimiter: str) -> tuple[dict[str, int], dict[str, int]]:
-    # Every valid first half "a;b;c;d;e" and second half ";f;g;h;i;j" of a line -> the summed
-    # contributions of its five items (1, 5, 1, 5, 1 and 5, 1, 5, 1, 5 contribute nothing as
-    # items 1-5 and 6-10). The walk splits such a line into its ten digits only when the
-    # delimiter is one character and not a digit 1-5; for any other, both tables are empty.
-    first, second = {}, {}
-    if len(delimiter) == 1 and delimiter not in "12345":
-        for half in product((1, 2, 3, 4, 5), repeat=5):
-            text = delimiter.join(map(str, half))
-            first[text] = _score_code((*half, 5, 1, 5, 1, 5))
-            second[delimiter + text] = _score_code((1, 5, 1, 5, 1, *half))
-    return first, second
+# An answer digit's contribution as an odd-numbered item (answer - 1), then as an even one.
+_CONTRIBUTIONS = bytes.maketrans(b"12345", b"\0\1\2\3\4"), bytes.maketrans(b"12345", b"\4\3\2\1\0")
+
+
+def _layout_codes(lines: list[str], delimiter: str) -> bytes | None:
+    # Each line's code if all are ten digits 1-5 joined by a one-character delimiter other than
+    # 1-5, lines the walk splits into their ten digits; else None. Joined by "\n", they put the
+    # delimiter or "\n" at each odd position, so answers[i::10] is item i + 1's column; its
+    # contributions, a byte per row, add up as big integers to each row's k <= 40 with no carry.
+    if len(delimiter) != 1 or delimiter in "12345":
+        return None
+    table = "\n".join(lines) + "\n"
+    answers = table[::2].encode("ascii", "replace")  # a non-ASCII character becomes "?"
+    if table[1::2] != (delimiter * 9 + "\n") * len(lines) or answers.translate(None, b"12345"):
+        return None
+    columns = (answers[i::10].translate(_CONTRIBUTIONS[i % 2]) for i in range(10))
+    return sum(int.from_bytes(column, "big") for column in columns).to_bytes(len(lines), "big")
 
 
 def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
@@ -175,14 +178,9 @@ def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseRepor
     Raises a :class:`ParseError` subclass pointing at the first offending
     line/field, or :class:`EmptyInputError` when nothing parseable remains.
     """
-    # A line the lookup finds is one the walk would read the same way; on any miss the walk
-    # reads every line, and skips or reports it.
+    # A file that does not fit the layout, blank lines included, goes to the walk.
     lines = text.splitlines()
-    first, second = _half_codes(delimiter)
-    try:
-        codes = bytes([first[line[:9]] + second[line[9:]] for line in lines])
-    except KeyError:
-        codes = bytes(map(_score_code, _answers(lines, delimiter)))
+    codes = _layout_codes(lines, delimiter) or bytes(map(_score_code, _answers(lines, delimiter)))
     if not codes:
         raise EmptyInputError()
     return ParseReport(

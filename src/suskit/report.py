@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .scoring import _TABLE, CODE_SCORES
-from .stats import descriptive_stats, frequency_table
+from .stats import _counted, descriptive_stats, frequency_table
 
 DEFAULT_REPORT_PATH = "results.txt"
 
@@ -105,6 +105,7 @@ def render_report(scores: Sequence[float]) -> str:
 
 def render_single_report(score: float) -> str:
     """Render the reduced report for a single response: score plus its labels."""
+    _counted((score,))  # a NaN or infinite score raises ValueError, as in the aggregates
     return "\n".join(map(_pair_line, _SCORE_FIELDS, _score_cells(score))) + "\n"
 
 

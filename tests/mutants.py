@@ -37,9 +37,15 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "lookup tables built for a digit delimiter",
+        "layout check without its digit-delimiter clause",
         "ingest.py",
-        (('if len(delimiter) == 1 and delimiter not in "12345":', "if len(delimiter) == 1:"),),
+        (('if len(delimiter) != 1 or delimiter in "12345":', "if len(delimiter) != 1:"),),
+        ("tests/test_ingest.py::test_lookup_agrees_with_full_parse",),
+    ),
+    Mutant(
+        "layout counting every item as odd-numbered",
+        "ingest.py",
+        (("_CONTRIBUTIONS[i % 2]", "_CONTRIBUTIONS[0]"),),
         ("tests/test_ingest.py::test_lookup_agrees_with_full_parse",),
     ),
     Mutant(
@@ -101,6 +107,12 @@ MUTANTS = (
         "stats.py",
         (("{score or 0.0: n for", "{score: n for"),),
         ("tests/test_stats.py::test_negative_zero_counts_as_zero",),
+    ),
+    Mutant(
+        "statistics imported by the aggregates",
+        "stats.py",
+        (("import math\n", "import math\nimport statistics  # noqa: F401\n"),),
+        ("tests/test_cli.py::test_cli_import_loads_no_statistics",),
     ),
     Mutant(
         "band bounds bisected from the left",

@@ -261,15 +261,18 @@ def test_module_entry_point(sample_path, sample_scores):
     assert result.stdout.splitlines()[0] == f"{sample_scores[0]:.1f}"
 
 
+# The tree the suskit under test comes from, for subprocesses started with -S.
+SUSKIT_TREE = str(Path(suskit.__file__).resolve().parents[1])
+
+
 def test_report_runs_without_site_packages(tmp_path, sample_path, golden_report):
     # -S leaves site-packages off the path: the runtime needs the standard library only.
-    src = Path(__file__).resolve().parents[1] / "src"
     target = tmp_path / "report.txt"
     result = subprocess.run(
         [sys.executable, "-S", "-m", "suskit", "report", str(sample_path), "--output", str(target)],
         capture_output=True,
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": SUSKIT_TREE},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == golden_report.encode("utf-8")
@@ -278,12 +281,11 @@ def test_report_runs_without_site_packages(tmp_path, sample_path, golden_report)
 
 def modules_loaded_by_cli_import() -> set[str]:
     """The modules in a fresh interpreter's sys.modules after ``import suskit.cli``."""
-    src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, suskit.cli; print(*sorted(sys.modules))"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": SUSKIT_TREE},
     )
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())

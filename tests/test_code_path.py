@@ -85,7 +85,7 @@ def test_cli_outputs_equal_float_path(workdir, responses):
 
 def test_cli_builds_no_row(workdir):
     answers = [(1, 2, 3, 4, 5, 1, 2, 3, 4, 5), (5, 5, 5, 5, 5, 1, 1, 1, 1, 1), (3,) * 10]
-    # Padded fields and a blank line miss the lookup, so every line takes the walk.
+    # Padded fields and a blank line do not fit the layout, so every line takes the walk.
     lines = [" ; ".join(map(str, row)) for row in answers]
     source = workdir / "padded.csv"
     source.write_bytes("\r\n".join([lines[0], "", *lines[1:], ""]).encode())

@@ -167,10 +167,10 @@ def test_corrupted_fields_match_in_order_oracle(row, corruptions):
     assert outcome == expected_outcome(fields, line_no=2)
 
 
-# Delimiters the lookup takes, and answer digits, which it must leave to the parser.
-# Line boundaries of str.splitlines ("\x1e", "\x0c", "\x85", "\r") take the lookup too,
-# which reads the parser's lines, and miss on every line.
-CODE_DELIMITERS = [";", ",", " ", "\t", "1", "5", "\x1e", "\x0c", "\x85", "\r"]
+# Delimiters the layout takes, and ones it must leave to the parser: answer digits and a
+# two-character delimiter. Line boundaries of str.splitlines ("\x1e", "\x0c", "\x85", "\r")
+# never fit the layout, which reads the parser's lines.
+CODE_DELIMITERS = [";", ",", " ", "\t", "\xe9", "0", "1", "5", "\x1e", "\x0c", "\x85", "\r", ", "]
 ODD_TOKENS = BAD_TOKENS + ["\x1f", "\x0c", " ", "\x0c3", "3 3"]
 
 
@@ -191,7 +191,7 @@ def response_files(draw):
         elif kind == "text":
             fields = [draw(st.text("12345;, \t\r\x0c\x1f\x1e\x85+0x", max_size=25))]
         lines.append(delimiter.join(fields))
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
     text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
     bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
     return bom + text.encode("utf-8"), delimiter
@@ -211,7 +211,7 @@ def response_file(tmp_path_factory):
 
 
 @given(case=response_files())
-# A lookup alone would accept each of these; the parser finds the wrong field count.
+# The layout alone would accept each of these; the parser finds the wrong field count.
 @example(case=(b"1" * 19 + b"\n", "1"))
 @example(case=("\x1e".join("3" * 10).encode() + b"\n", "\x1e"))
 @example(case=("\x0c".join("3" * 10).encode() + b"\n", "\x0c"))
@@ -219,8 +219,8 @@ def response_file(tmp_path_factory):
 def test_lookup_agrees_with_full_parse(response_file, case):
     data, delimiter = case
     response_file.write_bytes(data)
-    # Empty lookup tables send every line of the same parse_responses through the walk.
-    with mock.patch.object(ingest, "_half_codes", return_value=({}, {})):
+    # With no layout check, the same parse_responses sends every file through the walk.
+    with mock.patch.object(ingest, "_layout_codes", return_value=None):
         expected = _outcome(response_file, delimiter)
     assert _outcome(response_file, delimiter) == expected
     if isinstance(expected[0], bytes):
@@ -230,16 +230,26 @@ def test_lookup_agrees_with_full_parse(response_file, case):
                                    for item, a in enumerate(row.answers, 1)) for row in rows]
 
 
-def test_clean_crlf_and_cr_files_take_the_lookup(tmp_path):
+def test_clean_files_take_the_layout(tmp_path):
     lines = ["1;2;3;4;5;1;2;3;4;5", "5;5;5;5;5;1;1;1;1;1", "3;3;3;3;3;3;3;3;3;3"]
     expected = parse_responses("\n".join(lines) + "\n")
     path = tmp_path / "responses.csv"
-    for newline in ("\r\n", "\r"):
-        path.write_bytes((newline.join(lines) + newline).encode())
+    # (file text, delimiter, rows): each is read as the first rows of the LF file.
+    cases = [
+        ("\r\n".join(lines) + "\r\n", ";", 3),
+        ("\r".join(lines) + "\r", ";", 3),
+        (f"{lines[0]}\n{lines[1]}\r\n{lines[2]}\n", ";", 3),  # mixed LF and CRLF
+        ("\n".join(lines), ";", 3),  # no final line end
+        ("\ufeff" + "\n".join(lines) + "\n", ";", 3),  # a byte order mark
+        (lines[0] + "\n", ";", 1),
+        ("\n".join(lines).replace(";", "\xe9") + "\n", "\xe9", 3),
+    ]
+    for text, delimiter, n in cases:
+        path.write_bytes(text.encode())
         with mock.patch.object(ingest, "_answers", side_effect=AssertionError("walk")):
-            report = load_responses(path)
-            assert (report.codes, report.source_line_count) == (expected.codes, 3)
-        assert report.rows == expected.rows
+            report = load_responses(path, delimiter)
+            assert (report.codes, report.source_line_count) == (expected.codes[:n], n), text
+        assert report.rows == expected.rows[:n]
 
 
 def test_header_line_is_an_error_not_skipped():

@@ -123,6 +123,13 @@ def test_single_report_content(score, cells):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_single_report_rejects_non_finite_score(bad):
+    # Not printed as ACCEPTABLE, grade A, BEST IMAGINABLE, nor a decimal.InvalidOperation.
+    with pytest.raises(ValueError, match=f"^score {bad} is not finite$"):
+        render_single_report(float(bad))
+
+
 def test_write_report_round_trip(tmp_path, sample_scores):
     text = render_report(sample_scores)
     target = tmp_path / "out.txt"
