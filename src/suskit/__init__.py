@@ -35,14 +35,12 @@ from .scoring import (
     Acceptability,
     Adjective,
     Grade,
-    ScoreBreakdown,
     classify_acceptability,
     classify_adjective,
     classify_each,
     classify_grade,
     dimension_labels,
     score_all,
-    score_breakdown,
     score_response,
 )
 from .stats import (
@@ -77,7 +75,6 @@ __all__ = [
     "ParseError",
     "ParseReport",
     "ResponseRow",
-    "ScoreBreakdown",
     "SurveyStats",
     "classify_acceptability",
     "classify_adjective",
@@ -94,7 +91,6 @@ __all__ = [
     "render_report",
     "render_single_report",
     "score_all",
-    "score_breakdown",
     "score_response",
     "write_report",
 ]

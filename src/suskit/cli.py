@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .charts import render_category_chart, render_histogram
 from .ingest import DEFAULT_DELIMITER, ParseError, load_responses

@@ -8,12 +8,10 @@ aborts the parse with 1-based coordinates.
 
 from __future__ import annotations
 
-import dataclasses
 import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
 
 LIKERT_MIN = 1
 LIKERT_MAX = 5
@@ -102,22 +100,16 @@ class ResponseRow:
         object.__setattr__(self, "answers", answers)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ParseReport:
     """Validated responses plus the physical line count of the source text.
 
     ``codes`` holds each row's score code, one byte per row: the summed item
-    contributions k in 0-40, so the row's SUS score is 2.5 * k. ``rows`` holds
-    the rows themselves, built on first read from the validated text.
+    contributions k in 0-40, so the row's SUS score is 2.5 * k.
     """
 
     codes: bytes
     source_line_count: int
-    _rows: Callable[[], tuple[ResponseRow, ...]] = dataclasses.field(repr=False)
-
-    @cached_property
-    def rows(self) -> tuple[ResponseRow, ...]:
-        return self._rows()
 
 
 def _score_code(a: Sequence[int]) -> int:
@@ -168,7 +160,7 @@ def _layout_codes(lines: list[str], delimiter: str) -> bytes | None:
 
 
 def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
-    """Parse response text into validated rows.
+    """Parse response text into each row's score code.
 
     Lines end where ``str.splitlines()`` ends them (LF, CRLF, CR and the other
     Unicode boundaries); blank lines are skipped but still count toward error
@@ -183,9 +175,7 @@ def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseRepor
     codes = _layout_codes(lines, delimiter) or bytes(map(_score_code, _answers(lines, delimiter)))
     if not codes:
         raise EmptyInputError()
-    return ParseReport(
-        codes, len(lines), lambda: tuple(map(ResponseRow, _answers(text.splitlines(), delimiter)))
-    )
+    return ParseReport(codes, len(lines))
 
 
 def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:

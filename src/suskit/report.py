@@ -8,9 +8,9 @@ the test suite, down to column padding and separator lengths.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Sequence
 
 from .scoring import _TABLE, CODE_SCORES
 from .stats import _counted, descriptive_stats, frequency_table

@@ -9,9 +9,9 @@ point, so the classifiers below need no tolerance at their boundaries.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .ingest import ITEMS_PER_RESPONSE, ResponseRow, _score_code
 
@@ -44,22 +44,6 @@ class Adjective(Enum):
     GOOD = "GOOD"
     EXCELLENT = "EXCELLENT"
     BEST_IMAGINABLE = "BEST IMAGINABLE"
-
-
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    """Summed contributions of the positive and negative items, each 0-20."""
-
-    positive_sum: int
-    negative_sum: int
-
-
-def score_breakdown(row: ResponseRow) -> ScoreBreakdown:
-    """Split one response into positive- and negative-item contribution sums."""
-    answers = row.answers
-    positive = sum(answers[i] - 1 for i in range(0, ITEMS_PER_RESPONSE, 2))
-    negative = sum(5 - answers[i] for i in range(1, ITEMS_PER_RESPONSE, 2))
-    return ScoreBreakdown(positive_sum=positive, negative_sum=negative)
 
 
 def score_response(row: ResponseRow) -> float:

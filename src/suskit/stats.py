@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Hashable, Iterable, Sequence
 
 from .scoring import CODE_SCORES, _dimension
 

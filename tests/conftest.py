@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from suskit import load_responses
+from suskit import ResponseRow
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -23,8 +23,9 @@ def sample_path() -> Path:
 
 
 @pytest.fixture
-def sample_rows(sample_path):
-    return load_responses(sample_path).rows
+def sample_rows(sample_path) -> list[ResponseRow]:
+    lines = sample_path.read_text(encoding="utf-8").splitlines()
+    return [ResponseRow(tuple(map(int, line.split(";")))) for line in lines]
 
 
 @pytest.fixture

@@ -65,6 +65,19 @@ MUTANTS = (
         ("tests/test_ingest.py::test_corrupted_fields_match_in_order_oracle",),
     ),
     Mutant(
+        "walk converts fields unstripped",
+        "ingest.py",
+        (("token = field.strip()", "token = field"),),
+        ("tests/test_ingest.py::test_corrupted_fields_match_in_order_oracle",),
+    ),
+    Mutant(
+        "ParseReport compares by identity",
+        "ingest.py",
+        (("@dataclass(frozen=True)\nclass ParseReport:",
+          "@dataclass(frozen=True, eq=False)\nclass ParseReport:"),),
+        ("tests/test_ingest.py::test_parse_report_compares_by_value",),
+    ),
+    Mutant(
         "tally counts each distinct score once",
         "stats.py",
         (("tally[key(score)] += count", "tally[key(score)] += 1"),),

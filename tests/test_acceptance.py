@@ -32,7 +32,6 @@ from suskit import (
     parse_responses,
     render_category_chart,
     render_histogram,
-    score_all,
     score_response,
 )
 from suskit.cli import main
@@ -332,6 +331,8 @@ def test_c8_ingest_errors(capsys, tmp_path):
 
 
 def test_scores_agree_with_loaded_sample(sample_path):
-    # Cross-check: the frozen expected-score list matches a fresh parse.
-    rows = load_responses(sample_path).rows
-    assert score_all(rows) == EXPECTED_SCORES
+    # Cross-check: the frozen expected-score list matches a fresh parse and the per-item oracle.
+    codes = load_responses(sample_path).codes
+    assert [2.5 * k for k in codes] == EXPECTED_SCORES
+    lines = sample_path.read_text(encoding="utf-8").splitlines()
+    assert [per_item_score(map(int, line.split(";"))) for line in lines] == EXPECTED_SCORES

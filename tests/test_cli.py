@@ -304,6 +304,11 @@ def test_cli_import_loads_no_statistics():
     assert "statistics" not in modules_loaded_by_cli_import()
 
 
+def test_cli_import_loads_no_typing():
+    # suskit takes its abstract types from collections.abc.
+    assert "typing" not in modules_loaded_by_cli_import()
+
+
 def test_declared_console_script_is_module_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -20,7 +20,6 @@ from suskit import (
     frequency_table,
     histogram_bins,
     ingest,
-    load_responses,
     render_category_chart,
     render_histogram,
     render_report,
@@ -72,7 +71,7 @@ def workdir(tmp_path_factory):
 def test_cli_outputs_equal_float_path(workdir, responses):
     source = workdir / "responses.csv"
     source.write_text("".join(";".join(map(str, answers)) + "\n" for answers in responses))
-    score_text, report, charts = float_path_outputs(score_all(load_responses(source).rows))
+    score_text, report, charts = float_path_outputs(score_all(map(ResponseRow, responses)))
 
     assert run("score", str(source)) == score_text
     assert run("report", str(source), "--output", str(workdir / "report.txt")) == report

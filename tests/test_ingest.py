@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -15,6 +16,7 @@ from suskit import (
     NotAnIntegerError,
     OutOfRangeError,
     ParseError,
+    ParseReport,
     ResponseRow,
     ingest,
     load_responses,
@@ -24,42 +26,58 @@ from suskit import (
 GOOD_LINE = "1;2;3;4;5;1;2;3;4;5"
 
 
+def item_sum(answers) -> int:
+    """Oracle: odd-numbered items contribute answer - 1, even-numbered ones 5 - answer."""
+    return sum(a - 1 if item % 2 else 5 - a for item, a in enumerate(answers, start=1))
+
+
 def test_parses_sample_file(sample_path):
     report = load_responses(sample_path)
-    assert len(report.rows) == 20
+    assert len(report.codes) == 20
     assert report.source_line_count == 20
-    assert report.rows[0].answers == (5, 2, 5, 1, 4, 1, 5, 1, 4, 2)
-    assert report.rows[-1].answers == (1, 5, 1, 5, 2, 4, 1, 5, 1, 5)
+    assert report.codes[0] == item_sum((5, 2, 5, 1, 4, 1, 5, 1, 4, 2))
+    assert report.codes[-1] == item_sum((1, 5, 1, 5, 2, 4, 1, 5, 1, 5))
 
 
 def test_row_order_preserved():
-    text = "1;1;1;1;1;1;1;1;1;1\n5;5;5;5;5;5;5;5;5;5\n"
+    text = "1;5;1;5;1;5;1;5;1;5\n5;1;5;1;5;1;5;1;5;1\n"
     report = parse_responses(text)
-    assert [row.answers[0] for row in report.rows] == [1, 5]
+    assert list(report.codes) == [item_sum((1, 5) * 5), item_sum((5, 1) * 5)]
 
 
 def test_crlf_input_accepted():
     text = GOOD_LINE + "\r\n" + GOOD_LINE + "\r\n"
     report = parse_responses(text)
-    assert len(report.rows) == 2
+    assert len(report.codes) == 2
 
 
 def test_missing_trailing_newline_accepted():
     report = parse_responses(GOOD_LINE)
-    assert len(report.rows) == 1
+    assert len(report.codes) == 1
 
 
 def test_blank_lines_skipped_but_counted():
     text = "\n" + GOOD_LINE + "\n   \n" + GOOD_LINE + "\n"
     report = parse_responses(text)
-    assert len(report.rows) == 2
+    assert len(report.codes) == 2
     assert report.source_line_count == 4
 
 
 def test_field_whitespace_trimmed():
     text = " 1 ;2;3;4;5;1;2;3;4; 5 \n"
     report = parse_responses(text)
-    assert report.rows[0].answers == (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
+    assert report.codes[0] == item_sum((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))
+
+
+def test_parse_report_compares_by_value():
+    text = "\n" + GOOD_LINE + "\n5;1;5;1;5;1;5;1;5;1\n"
+    assert parse_responses(text) == parse_responses(text)
+    assert parse_responses(text) == ParseReport(bytes([20, 40]), 3)
+
+
+def test_parse_report_is_its_codes_and_line_count():
+    names = tuple(field.name for field in dataclasses.fields(ParseReport))
+    assert names == ("codes", "source_line_count")
 
 
 def test_empty_text_rejected():
@@ -155,16 +173,20 @@ def expected_outcome(fields, line_no):
         st.tuples(st.integers(0, 9), st.sampled_from(BAD_TOKENS)), min_size=1, max_size=3
     ),
 )
+@example(row=list("5432112345"), corruptions=[(0, "\x1f5")])
 def test_corrupted_fields_match_in_order_oracle(row, corruptions):
     fields = list(row)
     for index, token in corruptions:
         fields[index] = token
     text = GOOD_LINE + "\n" + ";".join(fields) + "\n"
     try:
-        outcome = parse_responses(text).rows[1].answers
+        outcome = parse_responses(text).codes[1]
     except ParseError as err:
         outcome = type(err), err.line_no, err.field_no, str(err)
-    assert outcome == expected_outcome(fields, line_no=2)
+    expected = expected_outcome(fields, line_no=2)
+    if len(expected) == 10:  # the answers, not an error
+        expected = item_sum(expected)
+    assert outcome == expected
 
 
 # Delimiters the layout takes, and ones it must leave to the parser: answer digits and a
@@ -199,10 +221,9 @@ def response_files(draw):
 
 def _outcome(path, delimiter):
     try:
-        report = load_responses(path, delimiter)
+        return load_responses(path, delimiter)
     except ParseError as exc:
         return type(exc), exc.message, exc.line_no, exc.field_no, exc.source
-    return report.codes, report.source_line_count, report.rows
 
 
 @pytest.fixture(scope="module")
@@ -223,11 +244,9 @@ def test_lookup_agrees_with_full_parse(response_file, case):
     with mock.patch.object(ingest, "_layout_codes", return_value=None):
         expected = _outcome(response_file, delimiter)
     assert _outcome(response_file, delimiter) == expected
-    if isinstance(expected[0], bytes):
-        codes, _, rows = expected
-        # Odd-numbered items contribute answer - 1, even-numbered ones 5 - answer.
-        assert list(codes) == [sum(a - 1 if item % 2 else 5 - a
-                                   for item, a in enumerate(row.answers, 1)) for row in rows]
+    if isinstance(expected, ParseReport):
+        lines = data.decode("utf-8-sig").splitlines()
+        assert list(expected.codes) == list(map(item_sum, ingest._answers(lines, delimiter)))
 
 
 def test_clean_files_take_the_layout(tmp_path):
@@ -247,9 +266,7 @@ def test_clean_files_take_the_layout(tmp_path):
     for text, delimiter, n in cases:
         path.write_bytes(text.encode())
         with mock.patch.object(ingest, "_answers", side_effect=AssertionError("walk")):
-            report = load_responses(path, delimiter)
-            assert (report.codes, report.source_line_count) == (expected.codes[:n], n), text
-        assert report.rows == expected.rows[:n]
+            assert load_responses(path, delimiter) == ParseReport(expected.codes[:n], n), text
 
 
 def test_header_line_is_an_error_not_skipped():
@@ -263,7 +280,7 @@ def test_header_line_is_an_error_not_skipped():
 def test_delimiter_override():
     text = GOOD_LINE.replace(";", ",") + "\n"
     report = parse_responses(text, delimiter=",")
-    assert report.rows[0].answers == (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
+    assert report.codes == bytes([item_sum((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))])
 
 
 def test_error_line_numbers_count_blank_lines():
@@ -277,7 +294,7 @@ def test_load_skips_utf8_byte_order_mark(tmp_path):
     path = tmp_path / "excel.csv"
     path.write_bytes(b"\xef\xbb\xbf" + GOOD_LINE.encode() + b"\r\n")
     report = load_responses(path)
-    assert report.rows[0].answers == (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
+    assert report.codes == bytes([item_sum((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))])
 
 
 def test_undecodable_byte_numbered_by_the_parsers_lines(tmp_path):

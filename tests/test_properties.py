@@ -26,7 +26,6 @@ from suskit import (
     render_report,
     render_single_report,
     score_all,
-    score_breakdown,
     score_response,
 )
 
@@ -54,13 +53,6 @@ def test_score_range_and_quantization(row):
     assert score % 2.5 == 0.0
 
 
-@given(row=rows)
-def test_direct_score_matches_breakdown(row):
-    # score_response is unrolled for speed; score_breakdown is the spelled-out rule.
-    parts = score_breakdown(row)
-    assert score_response(row) == 2.5 * (parts.positive_sum + parts.negative_sum)
-
-
 @given(answers=answer_tuples)
 def test_complement_symmetry(answers):
     mirrored = tuple(6 - a for a in answers)
@@ -83,7 +75,12 @@ def test_single_item_bump_moves_score_by_2_5(answers, position):
 def test_parse_round_trip(rows_list):
     text = "\n".join(";".join(str(a) for a in answers) for answers in rows_list) + "\n"
     report = parse_responses(text)
-    assert [row.answers for row in report.rows] == rows_list
+    # Odd-numbered items contribute answer - 1, even-numbered ones 5 - answer.
+    assert list(report.codes) == [
+        sum(a - 1 if item % 2 else 5 - a for item, a in enumerate(answers, start=1))
+        for answers in rows_list
+    ]
+    assert report.source_line_count == len(rows_list)
 
 
 @given(rows_list=st.lists(answer_tuples, min_size=1, max_size=8))

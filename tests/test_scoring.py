@@ -16,7 +16,6 @@ from suskit import (
     classify_grade,
     dimension_labels,
     score_all,
-    score_breakdown,
     score_response,
 )
 
@@ -44,20 +43,6 @@ def formula_score(answers) -> float:
 )
 def test_known_scores(answers, expected):
     assert score_response(ResponseRow(answers)) == expected
-
-
-def test_breakdown_sums():
-    parts = score_breakdown(ResponseRow((5, 2, 5, 1, 4, 1, 5, 1, 4, 2)))
-    assert parts.positive_sum == 18
-    assert parts.negative_sum == 18
-    assert 2.5 * (parts.positive_sum + parts.negative_sum) == 90.0
-
-
-def test_breakdown_extremes():
-    best = score_breakdown(ResponseRow((5, 1, 5, 1, 5, 1, 5, 1, 5, 1)))
-    assert (best.positive_sum, best.negative_sum) == (20, 20)
-    worst = score_breakdown(ResponseRow((1, 5, 1, 5, 1, 5, 1, 5, 1, 5)))
-    assert (worst.positive_sum, worst.negative_sum) == (0, 0)
 
 
 def test_score_all_matches_sample(sample_rows, sample_scores):
