@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 LIKERT_MIN = 1
 LIKERT_MAX = 5
@@ -178,7 +177,7 @@ def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseRepor
     return ParseReport(codes, len(lines))
 
 
-def load_responses(path: str | Path, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
+def load_responses(path: str | os.PathLike[str], delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
     """Read a UTF-8 response file, with or without a byte order mark, and parse it.
 
     A missing file raises the usual :class:`FileNotFoundError`, an ``int`` path

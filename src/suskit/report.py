@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
 from .scoring import _TABLE, CODE_SCORES
 from .stats import _counted, descriptive_stats, frequency_table
@@ -109,7 +108,7 @@ def render_single_report(score: float) -> str:
     return "\n".join(map(_pair_line, _SCORE_FIELDS, _score_cells(score))) + "\n"
 
 
-def write_report(text: str, path: str | Path = DEFAULT_REPORT_PATH) -> None:
+def write_report(text: str, path: str | os.PathLike[str] = DEFAULT_REPORT_PATH) -> None:
     """Write report text to ``path`` byte-for-byte (no newline translation).
 
     Parent directories are not created, OS errors propagate unchanged, and an ``int``

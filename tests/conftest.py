@@ -1,7 +1,8 @@
-"""Shared fixtures: the bundled 20-response sample and its golden report."""
+"""Shared fixtures: the bundled 20-response sample and its golden report; the spec oracle."""
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from suskit import ResponseRow
 
 DATA_DIR = Path(__file__).parent / "data"
+# perfbench/oracle.py is the one independent statement of the spec; tests import it as oracle.
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
 
 # Scores of the bundled sample file, in row order.
 SAMPLE_SCORES = [

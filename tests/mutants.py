@@ -71,6 +71,13 @@ MUTANTS = (
         ("tests/test_ingest.py::test_corrupted_fields_match_in_order_oracle",),
     ),
     Mutant(
+        "walk builds a ResponseRow per line",
+        "ingest.py",
+        (("bytes(map(_score_code, _answers(lines, delimiter)))",
+          "bytes(_score_code(ResponseRow(a).answers) for a in _answers(lines, delimiter))"),),
+        ("tests/test_code_path.py::test_cli_builds_no_row",),
+    ),
+    Mutant(
         "ParseReport compares by identity",
         "ingest.py",
         (("@dataclass(frozen=True)\nclass ParseReport:",
@@ -88,6 +95,12 @@ MUTANTS = (
         "report.py",
         (("stats = descriptive_stats(scores)", "stats = descriptive_stats(scores[1:])"),),
         ("tests/test_report.py::test_full_report_matches_golden",),
+    ),
+    Mutant(
+        "frequency counts printed as their last two digits",
+        "report.py",
+        (("_pair_line(label.value, str(count))", "_pair_line(label.value, str(count)[-2:])"),),
+        ("tests/test_oracle.py::test_cli_output_agrees_with_oracle",),
     ),
     Mutant(
         "code summaries taken from the next code",

@@ -13,8 +13,8 @@ import math
 import random
 import time
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 
+import oracle
 import pytest
 
 from suskit import (
@@ -52,17 +52,6 @@ EXPECTED_STAT_STRINGS = {
 }
 
 EXPECTED_HISTOGRAM = (1, 0, 1, 0, 1, 0, 0, 0, 6, 11)
-
-
-def per_item_score(answers) -> float:
-    """Independent scoring oracle: walk the items with 1-based numbering."""
-    total = 0
-    for item_no, answer in enumerate(answers, start=1):
-        if item_no % 2:
-            total += answer - 1
-        else:
-            total += 5 - answer
-    return 2.5 * total
 
 
 def test_c1_golden_scores_statistics_and_runtime(capsys, tmp_path, monkeypatch, sample_path):
@@ -115,47 +104,27 @@ def test_c4_exhaustive_scoring_oracle():
     valid_scores = frozenset(k * 2.5 for k in range(41))
     row_cls = ResponseRow
     score_fn = score_response
-    oracle = per_item_score
+    # A row's code is the sum of its halves' codes: 2 x 3,125 oracle calls, then a lookup per row.
+    halves = list(itertools.product((1, 2, 3, 4, 5), repeat=5))
+    second_halves = [(half, oracle.partial_code(half, 6)) for half in halves]
 
     started = time.perf_counter()
     checked = 0
-    for answers in itertools.product((1, 2, 3, 4, 5), repeat=10):
-        score = score_fn(row_cls(answers))
-        if score != oracle(answers) or score not in valid_scores:
-            pytest.fail(f"row {answers}: got {score}, oracle {oracle(answers)}")
-        checked += 1
+    for first in halves:
+        first_code = oracle.partial_code(first, 1)
+        for second, second_code in second_halves:
+            answers = first + second
+            score = score_fn(row_cls(answers))
+            expected = 2.5 * (first_code + second_code)
+            if score != expected or score not in valid_scores:
+                pytest.fail(f"row {answers}: got {score}, oracle {expected}")
+            checked += 1
     elapsed = time.perf_counter() - started
 
     assert checked == 5**10 == 9_765_625
     assert elapsed < 60.0, f"exhaustive sweep took {elapsed:.1f}s"
     print(f"C4 PASS: all {checked:,} rows match the per-item oracle in {elapsed:.1f}s < 60s")
 
-
-# Band tables restated independently: (lower, upper, label); lower-inclusive,
-# upper-exclusive, except the last band which is closed at 100.
-BAND_TABLES = {
-    "acceptability": [
-        (0.0, 50.0, "NOT ACCEPTABLE"),
-        (50.0, 62.5, "LOW MARGINAL"),
-        (62.5, 70.0, "HIGH MARGINAL"),
-        (70.0, None, "ACCEPTABLE"),
-    ],
-    "grade": [
-        (0.0, 60.0, "F"),
-        (60.0, 70.0, "D"),
-        (70.0, 80.0, "C"),
-        (80.0, 90.0, "B"),
-        (90.0, None, "A"),
-    ],
-    "adjective": [
-        (0.0, 25.0, "WORST IMAGINABLE"),
-        (25.0, 39.0, "POOR"),
-        (39.0, 52.0, "OK"),
-        (52.0, 73.0, "GOOD"),
-        (73.0, 85.0, "EXCELLENT"),
-        (85.0, None, "BEST IMAGINABLE"),
-    ],
-}
 
 # Threshold -> (dimension, label at the threshold, label just below it).
 BOUNDARY_EXPECTATIONS = [
@@ -172,16 +141,6 @@ BOUNDARY_EXPECTATIONS = [
     (85.0, "adjective", "BEST IMAGINABLE", "EXCELLENT"),
     (90.0, "grade", "A", "B"),
 ]
-
-
-def band_label(dimension: str, score: float) -> str:
-    matches = [
-        label
-        for lower, upper, label in BAND_TABLES[dimension]
-        if lower <= score and (upper is None or score < upper)
-    ]
-    assert len(matches) == 1, f"{dimension} bands are not a partition at {score}"
-    return matches[0]
 
 
 def test_c5_property_suite():
@@ -208,11 +167,10 @@ def test_c5_property_suite():
             steps_checked += 1
     assert steps_checked > 5000
 
-    multiples = [k * 2.5 for k in range(41)]
-    for score in multiples:
+    for k in range(41):
         for dimension in DIMENSIONS:
-            label = classify_each([score], dimension)[0]
-            assert label.value == band_label(dimension, score)
+            label = classify_each([k * 2.5], dimension)[0]
+            assert label.value == oracle.label(dimension, k)
 
     for threshold, dimension, at_label, below_label in BOUNDARY_EXPECTATIONS:
         at = classify_each([threshold], dimension)[0]
@@ -227,34 +185,25 @@ def test_c5_property_suite():
     )
 
 
-def exact_quantile(values, p: Fraction) -> float:
-    ordered = sorted(Fraction(v) for v in values)
-    h = p * (len(ordered) - 1)
-    low = math.floor(h)
-    frac = h - low
-    if frac == 0:
-        return float(ordered[low])
-    return float(ordered[low] + frac * (ordered[low + 1] - ordered[low]))
-
-
 def test_c6_quantile_and_std_oracle():
     rng = random.Random(987654321)
     samples_checked = 0
     for _ in range(1000):
         size = rng.randint(1, 12)
-        scores = [rng.randint(0, 40) * 2.5 for _ in range(size)]
-        stats = descriptive_stats(scores)
-
-        assert stats.q1 == exact_quantile(scores, Fraction(1, 4))
-        assert stats.median == exact_quantile(scores, Fraction(1, 2))
-        assert stats.q3 == exact_quantile(scores, Fraction(3, 4))
+        codes = bytes(rng.randint(0, 40) for _ in range(size))
+        stats = descriptive_stats([k * 2.5 for k in codes])
 
         if size == 1:
+            # One score is its own quartiles, with no spread.
+            assert (stats.q1, stats.median, stats.q3) == (codes[0] * 2.5,) * 3
             assert stats.sample_std == 0.0
         else:
-            mean = sum(scores) / size
-            oracle = math.sqrt(sum((v - mean) ** 2 for v in scores) / (size - 1))
-            assert math.isclose(stats.sample_std, oracle, rel_tol=1e-12, abs_tol=0.0)
+            exact = oracle.exact_stats(codes)
+            assert stats.q1 == float(exact["First Quartile (Q1)"])
+            assert stats.median == float(exact["Median (Q2)"])
+            assert stats.q3 == float(exact["Third Quartile (Q3)"])
+            std = exact["Standard Deviation"]
+            assert math.isclose(stats.sample_std, std, rel_tol=1e-12, abs_tol=0.0)
         samples_checked += 1
 
     assert samples_checked == 1000
@@ -335,4 +284,4 @@ def test_scores_agree_with_loaded_sample(sample_path):
     codes = load_responses(sample_path).codes
     assert [2.5 * k for k in codes] == EXPECTED_SCORES
     lines = sample_path.read_text(encoding="utf-8").splitlines()
-    assert [per_item_score(map(int, line.split(";"))) for line in lines] == EXPECTED_SCORES
+    assert [2.5 * oracle.code(oracle.split_answers(line, ";")) for line in lines] == EXPECTED_SCORES

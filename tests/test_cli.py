@@ -309,6 +309,11 @@ def test_cli_import_loads_no_typing():
     assert "typing" not in modules_loaded_by_cli_import()
 
 
+def test_cli_import_loads_no_pathlib():
+    # Paths are annotated as os.PathLike; pathlib also loads urllib and ipaddress.
+    assert "pathlib" not in modules_loaded_by_cli_import()
+
+
 def test_declared_console_script_is_module_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

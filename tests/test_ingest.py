@@ -6,6 +6,7 @@ import dataclasses
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
+import oracle
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -26,23 +27,18 @@ from suskit import (
 GOOD_LINE = "1;2;3;4;5;1;2;3;4;5"
 
 
-def item_sum(answers) -> int:
-    """Oracle: odd-numbered items contribute answer - 1, even-numbered ones 5 - answer."""
-    return sum(a - 1 if item % 2 else 5 - a for item, a in enumerate(answers, start=1))
-
-
 def test_parses_sample_file(sample_path):
     report = load_responses(sample_path)
     assert len(report.codes) == 20
     assert report.source_line_count == 20
-    assert report.codes[0] == item_sum((5, 2, 5, 1, 4, 1, 5, 1, 4, 2))
-    assert report.codes[-1] == item_sum((1, 5, 1, 5, 2, 4, 1, 5, 1, 5))
+    assert report.codes[0] == oracle.code((5, 2, 5, 1, 4, 1, 5, 1, 4, 2))
+    assert report.codes[-1] == oracle.code((1, 5, 1, 5, 2, 4, 1, 5, 1, 5))
 
 
 def test_row_order_preserved():
     text = "1;5;1;5;1;5;1;5;1;5\n5;1;5;1;5;1;5;1;5;1\n"
     report = parse_responses(text)
-    assert list(report.codes) == [item_sum((1, 5) * 5), item_sum((5, 1) * 5)]
+    assert list(report.codes) == [oracle.code((1, 5) * 5), oracle.code((5, 1) * 5)]
 
 
 def test_crlf_input_accepted():
@@ -66,7 +62,7 @@ def test_blank_lines_skipped_but_counted():
 def test_field_whitespace_trimmed():
     text = " 1 ;2;3;4;5;1;2;3;4; 5 \n"
     report = parse_responses(text)
-    assert report.codes[0] == item_sum((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))
+    assert report.codes[0] == oracle.code((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))
 
 
 def test_parse_report_compares_by_value():
@@ -185,7 +181,7 @@ def test_corrupted_fields_match_in_order_oracle(row, corruptions):
         outcome = type(err), err.line_no, err.field_no, str(err)
     expected = expected_outcome(fields, line_no=2)
     if len(expected) == 10:  # the answers, not an error
-        expected = item_sum(expected)
+        expected = oracle.code(expected)
     assert outcome == expected
 
 
@@ -246,7 +242,7 @@ def test_lookup_agrees_with_full_parse(response_file, case):
     assert _outcome(response_file, delimiter) == expected
     if isinstance(expected, ParseReport):
         lines = data.decode("utf-8-sig").splitlines()
-        assert list(expected.codes) == list(map(item_sum, ingest._answers(lines, delimiter)))
+        assert list(expected.codes) == list(map(oracle.code, ingest._answers(lines, delimiter)))
 
 
 def test_clean_files_take_the_layout(tmp_path):
@@ -280,7 +276,7 @@ def test_header_line_is_an_error_not_skipped():
 def test_delimiter_override():
     text = GOOD_LINE.replace(";", ",") + "\n"
     report = parse_responses(text, delimiter=",")
-    assert report.codes == bytes([item_sum((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))])
+    assert report.codes == bytes([oracle.code((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))])
 
 
 def test_error_line_numbers_count_blank_lines():
@@ -294,7 +290,7 @@ def test_load_skips_utf8_byte_order_mark(tmp_path):
     path = tmp_path / "excel.csv"
     path.write_bytes(b"\xef\xbb\xbf" + GOOD_LINE.encode() + b"\r\n")
     report = load_responses(path)
-    assert report.codes == bytes([item_sum((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))])
+    assert report.codes == bytes([oracle.code((1, 2, 3, 4, 5, 1, 2, 3, 4, 5))])
 
 
 def test_undecodable_byte_numbered_by_the_parsers_lines(tmp_path):

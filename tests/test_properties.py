@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
+import oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suskit import (
     DIMENSIONS,
-    Acceptability,
-    Adjective,
-    Grade,
     ResponseRow,
     classify_acceptability,
     classify_adjective,
@@ -37,13 +34,10 @@ rows = answer_tuples.map(ResponseRow)
 # Any reachable score is k * 2.5 for k in 0..40.
 score_values = st.integers(0, 40).map(lambda k: k * 2.5)
 score_lists = st.lists(score_values, min_size=1, max_size=12)
+code_lists = st.lists(st.integers(0, 40), min_size=1, max_size=12).map(bytes)
 
-# Classifier bands ordered worst to best; grade report order is best-first.
-ASCENDING = {
-    "acceptability": list(Acceptability),
-    "grade": [Grade.F, Grade.D, Grade.C, Grade.B, Grade.A],
-    "adjective": list(Adjective),
-}
+# Band labels ordered worst to best.
+ASCENDING = {dimension: [label for _, label in bands] for dimension, bands in oracle.BANDS.items()}
 
 
 @given(row=rows)
@@ -75,11 +69,7 @@ def test_single_item_bump_moves_score_by_2_5(answers, position):
 def test_parse_round_trip(rows_list):
     text = "\n".join(";".join(str(a) for a in answers) for answers in rows_list) + "\n"
     report = parse_responses(text)
-    # Odd-numbered items contribute answer - 1, even-numbered ones 5 - answer.
-    assert list(report.codes) == [
-        sum(a - 1 if item % 2 else 5 - a for item, a in enumerate(answers, start=1))
-        for answers in rows_list
-    ]
+    assert list(report.codes) == list(map(oracle.code, rows_list))
     assert report.source_line_count == len(rows_list)
 
 
@@ -101,7 +91,7 @@ def test_classifiers_are_monotonic(a, b):
     low, high = min(a, b), max(a, b)
     for dimension, ascending in ASCENDING.items():
         low_label, high_label = classify_each([low, high], dimension)
-        assert ascending.index(low_label) <= ascending.index(high_label)
+        assert ascending.index(low_label.value) <= ascending.index(high_label.value)
 
 
 @given(score=score_values)
@@ -111,34 +101,26 @@ def test_direct_classifiers_agree_with_dispatch(score):
     assert classify_each([score], "adjective") == [classify_adjective(score)]
 
 
-def fraction_quantile(values, p: Fraction) -> float:
-    """Exact-arithmetic restatement of the interpolated quantile."""
-    ordered = sorted(Fraction(v) for v in values)
-    h = p * (len(ordered) - 1)
-    low = math.floor(h)
-    frac = h - low
-    if frac == 0:
-        return float(ordered[low])
-    return float(ordered[low] + frac * (ordered[low + 1] - ordered[low]))
+@given(codes=code_lists)
+def test_quartiles_match_exact_arithmetic(codes):
+    stats = descriptive_stats([k * 2.5 for k in codes])
+    if len(codes) == 1:
+        assert (stats.q1, stats.median, stats.q3) == (codes[0] * 2.5,) * 3
+        return
+    exact = oracle.exact_stats(codes)
+    assert stats.q1 == float(exact["First Quartile (Q1)"])
+    assert stats.median == float(exact["Median (Q2)"])
+    assert stats.q3 == float(exact["Third Quartile (Q3)"])
 
 
-@given(scores=score_lists)
-def test_quartiles_match_exact_arithmetic(scores):
-    stats = descriptive_stats(scores)
-    assert stats.q1 == fraction_quantile(scores, Fraction(1, 4))
-    assert stats.median == fraction_quantile(scores, Fraction(1, 2))
-    assert stats.q3 == fraction_quantile(scores, Fraction(3, 4))
-
-
-@given(scores=score_lists)
-def test_std_matches_two_pass_formula(scores):
-    stats = descriptive_stats(scores)
-    if len(scores) == 1:
+@given(codes=code_lists)
+def test_std_matches_exact_arithmetic(codes):
+    stats = descriptive_stats([k * 2.5 for k in codes])
+    if len(codes) == 1:
         assert stats.sample_std == 0.0
         return
-    mean = sum(scores) / len(scores)
-    oracle = math.sqrt(sum((v - mean) ** 2 for v in scores) / (len(scores) - 1))
-    assert math.isclose(stats.sample_std, oracle, rel_tol=1e-12, abs_tol=1e-12)
+    std = oracle.exact_stats(codes)["Standard Deviation"]
+    assert math.isclose(stats.sample_std, std, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @given(scores=score_lists)

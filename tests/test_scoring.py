@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import oracle
 import pytest
 
 from suskit import (
@@ -18,17 +19,6 @@ from suskit import (
     score_all,
     score_response,
 )
-
-
-def formula_score(answers) -> float:
-    """Independent re-statement of the scoring rule, written per item."""
-    total = 0
-    for item_no, answer in enumerate(answers, start=1):
-        if item_no % 2:
-            total += answer - 1
-        else:
-            total += 5 - answer
-    return 2.5 * total
 
 
 @pytest.mark.parametrize(
@@ -51,7 +41,7 @@ def test_score_all_matches_sample(sample_rows, sample_scores):
 
 def test_score_matches_per_item_formula(sample_rows):
     for row in sample_rows:
-        assert score_response(row) == formula_score(row.answers)
+        assert score_response(row) == 2.5 * oracle.code(row.answers)
 
 
 @pytest.mark.parametrize(
@@ -168,5 +158,5 @@ def test_dimension_names():
 
 
 def test_sample_scores_fixture_consistency(sample_rows, sample_scores):
-    # The frozen expected-score list must agree with the independent formula.
-    assert [formula_score(row.answers) for row in sample_rows] == sample_scores
+    # The frozen expected-score list must agree with the independent oracle.
+    assert [2.5 * oracle.code(row.answers) for row in sample_rows] == sample_scores

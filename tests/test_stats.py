@@ -6,6 +6,7 @@ import math
 from functools import partial
 from itertools import permutations
 
+import oracle
 import pytest
 
 from suskit import (
@@ -20,17 +21,11 @@ from suskit import (
 )
 
 
-def two_pass_std(values) -> float:
-    """Textbook two-pass sample standard deviation (n-1 denominator)."""
-    n = len(values)
-    mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-
-
 def test_sample_statistics(sample_scores):
     stats = descriptive_stats(sample_scores)
     assert stats.mean == 78.875
-    assert stats.sample_std == pytest.approx(two_pass_std(sample_scores), rel=1e-12)
+    exact = oracle.exact_stats(bytes(int(score / 2.5) for score in sample_scores))
+    assert stats.sample_std == pytest.approx(exact["Standard Deviation"], rel=1e-12)
     assert f"{stats.sample_std:.2f}" == "25.20"
     assert stats.q1 == 82.5
     assert stats.median == 90.0
