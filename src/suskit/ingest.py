@@ -9,8 +9,8 @@ aborts the parse with 1-based coordinates.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 LIKERT_MIN = 1
 LIKERT_MAX = 5
@@ -79,36 +79,38 @@ class OutOfRangeError(ParseError):
         self.value = value
 
 
-@dataclass(frozen=True, slots=True)
-class ResponseRow:
+class ResponseRow(namedtuple("ResponseRow", "answers")):
     """One participant's answers to the ten questionnaire items.
 
     ``answers`` is always a tuple of exactly ten integers in 1-5;
     construction rejects anything else.
     """
 
-    answers: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        answers = tuple(self.answers)
+    def __new__(cls, answers: Sequence[int]):
+        answers = tuple(answers)
         if len(answers) != ITEMS_PER_RESPONSE:
             raise ValueError(f"expected {ITEMS_PER_RESPONSE} answers, got {len(answers)}")
         for value in answers:
             if not isinstance(value, int) or not LIKERT_MIN <= value <= LIKERT_MAX:
                 raise ValueError(f"answer {value!r} outside {LIKERT_MIN}-{LIKERT_MAX}")
-        object.__setattr__(self, "answers", answers)
+        return super().__new__(cls, answers)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so it validates too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(namedtuple("ParseReport", "codes source_line_count")):
     """Validated responses plus the physical line count of the source text.
 
     ``codes`` holds each row's score code, one byte per row: the summed item
     contributions k in 0-40, so the row's SUS score is 2.5 * k.
+    ``source_line_count`` is an ``int``.
     """
 
-    codes: bytes
-    source_line_count: int
+    __slots__ = ()
 
 
 def _score_code(a: Sequence[int]) -> int:

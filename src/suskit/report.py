@@ -7,9 +7,9 @@ the test suite, down to column padding and separator lengths.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Sequence
-from decimal import ROUND_HALF_UP, Decimal
 
 from .scoring import _TABLE, CODE_SCORES
 from .stats import _counted, descriptive_stats, frequency_table
@@ -32,8 +32,13 @@ def _fmt1(value: float) -> str:
 
 
 def _fmt2(value: float) -> str:
-    # Two decimals, ties rounded half away from zero (f-strings round half even).
-    return str(Decimal(value).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    # Two decimals, ties rounded half away from zero (f-strings round half even), exactly:
+    # |value| is num / den, so 100 * |value| rounds to the integer cents with no float error.
+    num, den = abs(value).as_integer_ratio()
+    cents, rest = divmod(100 * num, den)
+    cents += 2 * rest >= den
+    sign = "-" if math.copysign(1.0, value) < 0 else ""  # -0.0 and -0.001 print -0.00
+    return f"{sign}{cents // 100}.{cents % 100:02d}"
 
 
 def _pair_line(left: str, right: str) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .ingest import ITEMS_PER_RESPONSE, ResponseRow, _score_code
@@ -60,21 +59,20 @@ def score_all(rows: Sequence[ResponseRow]) -> list[float]:
 CODE_SCORES: tuple[float, ...] = tuple(2.5 * k for k in range(4 * ITEMS_PER_RESPONSE + 1))
 
 
-@dataclass
 class _Dimension:
     """One categorical dimension: its bands, and how reports and charts name it."""
 
-    labels: type[Enum]  # member order is report order
-    bands: tuple[tuple[float, Enum], ...]  # (inclusive lower bound, label), lowest band first
-    heading: str  # frequency-table heading in the multi-response report
-    rule: int  # length of the separator under that heading
-    field_name: str  # row name in the single-response report, column in the summary table
-    chart_title: str
-
-    def __post_init__(self):
-        # A score below every bound is in the lowest band, so its own bound is not searched.
-        self.bounds = tuple(bound for bound, _ in self.bands[1:])
-        self.band_labels = tuple(label for _, label in self.bands)
+    def __init__(self, labels: type[Enum], bands: tuple[tuple[float, Enum], ...], heading: str,
+                 rule: int, field_name: str, chart_title: str):
+        self.labels = labels  # member order is report order
+        # bands are (inclusive lower bound, label), lowest band first. A score below every
+        # bound is in the lowest band, so its own bound is not searched.
+        self.bounds = tuple(bound for bound, _ in bands[1:])
+        self.band_labels = tuple(label for _, label in bands)
+        self.heading = heading  # frequency-table heading in the multi-response report
+        self.rule = rule  # length of the separator under that heading
+        self.field_name = field_name  # row name in the single-response report, summary column
+        self.chart_title = chart_title
 
     def classify(self, score: float) -> Enum:
         return self.band_labels[bisect_right(self.bounds, score)]

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 
@@ -29,41 +27,39 @@ class EmptyScoreSetError(ValueError):
         super().__init__("score set is empty")
 
 
-@dataclass(frozen=True)
-class SurveyStats:
-    """Mean, sample standard deviation, and quartiles of a score set."""
+class SurveyStats(namedtuple("SurveyStats", "mean sample_std q1 median q3")):
+    """Mean, sample standard deviation, and quartiles of a score set, as floats."""
 
-    mean: float
-    sample_std: float
-    q1: float
-    median: float
-    q3: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(namedtuple("FrequencyTable", "dimension entries")):
     """Per-label counts for one categorical dimension, in report order.
 
+    ``entries`` is a tuple of (label, count) pairs, the labels ``Enum`` members.
     Every label of the dimension appears exactly once, zero counts included.
     """
 
-    dimension: str
-    entries: tuple[tuple[Enum, int], ...]
+    __slots__ = ()
 
     @property
     def total(self) -> int:
         return sum(count for _, count in self.entries)
 
 
-@dataclass(frozen=True)
-class HistogramBins:
+class HistogramBins(namedtuple("HistogramBins", "counts")):
     """Counts over the ten intervals [0,10), [10,20), ... [80,90), [90,100]."""
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.counts) != NUM_BINS:
-            raise ValueError(f"expected {NUM_BINS} bins, got {len(self.counts)}")
+    def __new__(cls, counts: tuple[int, ...]):
+        if len(counts) != NUM_BINS:
+            raise ValueError(f"expected {NUM_BINS} bins, got {len(counts)}")
+        return super().__new__(cls, counts)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so it validates too
+        return cls(*fields)
 
     @property
     def total(self) -> int:

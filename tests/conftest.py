@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled 20-response sample and its golden report; the spec oracle."""
+"""Shared fixtures: the bundled 20-response sample and its golden report; the spec oracle;
+the hypothesis profile."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from suskit import ResponseRow
 
@@ -13,6 +15,10 @@ DATA_DIR = Path(__file__).parent / "data"
 # perfbench/oracle.py is the one independent statement of the spec; tests import it as oracle.
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
+
+# One profile for every run, whole suite or single file: the same examples each time.
+settings.register_profile("suite", derandomize=True, max_examples=200)
+settings.load_profile("suite")
 
 # Scores of the bundled sample file, in row order.
 SAMPLE_SCORES = [

@@ -80,8 +80,9 @@ MUTANTS = (
     Mutant(
         "ParseReport compares by identity",
         "ingest.py",
-        (("@dataclass(frozen=True)\nclass ParseReport:",
-          "@dataclass(frozen=True, eq=False)\nclass ParseReport:"),),
+        (('class ParseReport(namedtuple("ParseReport", "codes source_line_count")):',
+          'class ParseReport(namedtuple("ParseReport", "codes source_line_count")):\n'
+          "    __eq__, __hash__ = object.__eq__, object.__hash__"),),
         ("tests/test_ingest.py::test_parse_report_compares_by_value",),
     ),
     Mutant(
@@ -101,6 +102,12 @@ MUTANTS = (
         "report.py",
         (("_pair_line(label.value, str(count))", "_pair_line(label.value, str(count)[-2:])"),),
         ("tests/test_oracle.py::test_cli_output_agrees_with_oracle",),
+    ),
+    Mutant(
+        "two-decimal ties rounded down",
+        "report.py",
+        (("cents += 2 * rest >= den", "cents += 2 * rest > den"),),
+        ("tests/test_report.py::test_fmt2_rounds_as_decimal",),
     ),
     Mutant(
         "code summaries taken from the next code",
@@ -138,7 +145,7 @@ MUTANTS = (
         "statistics imported by the aggregates",
         "stats.py",
         (("import math\n", "import math\nimport statistics  # noqa: F401\n"),),
-        ("tests/test_cli.py::test_cli_import_loads_no_statistics",),
+        ("tests/test_cli.py::test_cli_import_loads_no[statistics]",),
     ),
     Mutant(
         "band bounds bisected from the left",

@@ -279,6 +279,7 @@ def test_report_runs_without_site_packages(tmp_path, sample_path, golden_report)
     assert target.read_bytes() == golden_report.encode("utf-8")
 
 
+@pytest.fixture(scope="module")
 def modules_loaded_by_cli_import() -> set[str]:
     """The modules in a fresh interpreter's sys.modules after ``import suskit.cli``."""
     result = subprocess.run(
@@ -293,25 +294,22 @@ def modules_loaded_by_cli_import() -> set[str]:
     return loaded
 
 
-def test_cli_import_loads_no_network_modules():
+@pytest.mark.parametrize("module", [
     # xml.sax.saxutils imports these, and they took longer to load than the CLI itself.
-    network = {"xml.sax", "urllib.request", "http.client", "email"}
-    assert not modules_loaded_by_cli_import() & network
-
-
-def test_cli_import_loads_no_statistics():
+    "xml.sax", "urllib.request", "http.client", "email",
     # The aggregates need only integer sums over counts; statistics also loads random.
-    assert "statistics" not in modules_loaded_by_cli_import()
-
-
-def test_cli_import_loads_no_typing():
+    "statistics",
     # suskit takes its abstract types from collections.abc.
-    assert "typing" not in modules_loaded_by_cli_import()
-
-
-def test_cli_import_loads_no_pathlib():
+    "typing",
     # Paths are annotated as os.PathLike; pathlib also loads urllib and ipaddress.
-    assert "pathlib" not in modules_loaded_by_cli_import()
+    "pathlib",
+    # The records are named tuples: dataclasses imports inspect, which loads ast, dis and tokenize.
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+    # The report rounds to two decimals on integers.
+    "decimal",
+])
+def test_cli_import_loads_no(module, modules_loaded_by_cli_import):
+    assert module not in modules_loaded_by_cli_import
 
 
 def test_declared_console_script_is_module_main():

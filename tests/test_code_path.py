@@ -89,7 +89,7 @@ def test_cli_builds_no_row(workdir):
     source.write_bytes("\r\n".join([lines[0], "", *lines[1:], ""]).encode())
     score_text, report, charts = float_path_outputs(score_all(map(ResponseRow, answers)))
 
-    with mock.patch.object(ResponseRow, "__post_init__", side_effect=AssertionError("row built")):
+    with mock.patch.object(ResponseRow, "__new__", side_effect=AssertionError("row built")):
         assert run("score", str(source)) == score_text
         assert run("report", str(source), "--output", str(workdir / "report.txt")) == report
         for kind, svg in charts.items():

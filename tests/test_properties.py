@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import oracle
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from suskit import (
@@ -25,9 +25,6 @@ from suskit import (
     score_all,
     score_response,
 )
-
-settings.register_profile("suite", derandomize=True, max_examples=200)
-settings.load_profile("suite")
 
 answer_tuples = st.lists(st.integers(1, 5), min_size=10, max_size=10).map(tuple)
 rows = answer_tuples.map(ResponseRow)

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_UP, Decimal
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from suskit import (
     InsufficientDataError,
+    descriptive_stats,
     render_report,
     render_single_report,
     write_report,
 )
+from suskit.report import _fmt2
 
 
 def test_full_report_matches_golden(sample_scores, golden_report):
@@ -63,13 +69,35 @@ def test_summary_block_columns(sample_scores):
 
 def test_two_decimal_ties_round_half_away_from_zero():
     # q1 of [0, 2.5] is 0.625; half-even formatting would print 0.62.
-    from suskit import descriptive_stats
-
     scores = [0.0, 2.5]
     assert descriptive_stats(scores).q1 == 0.625
     text = render_report(scores)
     assert "First Quartile (Q1) 0.63" in text
     assert "0.62" not in text
+
+
+# Finite floats below 1e26, where Decimal's 28 digits hold every result, and exact ties:
+# an odd multiple of 1/8 lies halfway between two cents.
+@given(st.one_of(
+    st.floats(-1e26, 1e26, exclude_min=True, exclude_max=True),
+    st.integers(-(10**9), 10**9).map(lambda n: n / 8),
+))
+@example(0.625)
+@example(0.005)
+@example(-0.005)
+@example(-0.0)
+@example(5e-324)
+@example(99.995)
+def test_fmt2_rounds_as_decimal(value):
+    assert _fmt2(value) == str(Decimal(value).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+def test_huge_report_values_print_their_digits():
+    # Decimal's 28 digits cannot hold 1e30 to two decimals; the cents of an integer can.
+    text = render_report([1e30, 2e30])
+    mean = descriptive_stats([1e30, 2e30]).mean
+    assert f"{'Mean':<20}{int(mean)}.00" in text.splitlines()
+    assert f"{int(1e30)}.00" in text and f"{int(2e30)}.00" in text
 
 
 def _summary_rows(text: str, count: int) -> list[str]:

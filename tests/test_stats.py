@@ -184,3 +184,5 @@ def test_histogram_error_names_first_bad_score():
 def test_histogram_bins_length_validated():
     with pytest.raises(ValueError):
         HistogramBins(counts=(0,) * 9)
+    with pytest.raises(ValueError):
+        HistogramBins((0,) * 10)._replace(counts=(0,) * 9)
