@@ -35,11 +35,7 @@ from .scoring import (
     Acceptability,
     Adjective,
     Grade,
-    classify_acceptability,
-    classify_adjective,
     classify_each,
-    classify_grade,
-    dimension_labels,
     score_all,
     score_response,
 )
@@ -76,12 +72,8 @@ __all__ = [
     "ParseReport",
     "ResponseRow",
     "SurveyStats",
-    "classify_acceptability",
-    "classify_adjective",
     "classify_each",
-    "classify_grade",
     "descriptive_stats",
-    "dimension_labels",
     "frequency_table",
     "histogram_bins",
     "load_responses",

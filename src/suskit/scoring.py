@@ -16,7 +16,7 @@ from .ingest import ITEMS_PER_RESPONSE, ResponseRow, _score_code
 
 
 class Acceptability(Enum):
-    """Four-level acceptability band, listed lowest to highest."""
+    """Four-level acceptability band, in report order (lowest first)."""
 
     NOT_ACCEPTABLE = "NOT ACCEPTABLE"
     LOW_MARGINAL = "LOW MARGINAL"
@@ -35,7 +35,7 @@ class Grade(Enum):
 
 
 class Adjective(Enum):
-    """Six-level verbal rating, listed lowest to highest."""
+    """Six-level verbal rating, in report order (lowest first)."""
 
     WORST_IMAGINABLE = "WORST IMAGINABLE"
     POOR = "POOR"
@@ -109,26 +109,6 @@ def _dimension(name: str) -> _Dimension:
         raise ValueError(
             f"unknown dimension {name!r}; expected one of: {', '.join(DIMENSIONS)}"
         ) from None
-
-
-def classify_acceptability(score: float) -> Acceptability:
-    """Acceptability band for a score; each band includes its lower bound."""
-    return _TABLE["acceptability"].classify(score)
-
-
-def classify_grade(score: float) -> Grade:
-    """Grade for a score; each band includes its lower bound."""
-    return _TABLE["grade"].classify(score)
-
-
-def classify_adjective(score: float) -> Adjective:
-    """Adjective rating for a score; each band includes its lower bound."""
-    return _TABLE["adjective"].classify(score)
-
-
-def dimension_labels(dimension: str) -> tuple[Enum, ...]:
-    """All labels of one categorical dimension, in report order."""
-    return tuple(_dimension(dimension).labels)
 
 
 def classify_each(scores: Sequence[float], dimension: str) -> list[Enum]:

@@ -42,10 +42,6 @@ class FrequencyTable(namedtuple("FrequencyTable", "dimension entries")):
 
     __slots__ = ()
 
-    @property
-    def total(self) -> int:
-        return sum(count for _, count in self.entries)
-
 
 class HistogramBins(namedtuple("HistogramBins", "counts")):
     """Counts over the ten intervals [0,10), [10,20), ... [80,90), [90,100]."""
@@ -60,10 +56,6 @@ class HistogramBins(namedtuple("HistogramBins", "counts")):
     @classmethod
     def _make(cls, fields):  # _replace builds through _make, so it validates too
         return cls(*fields)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @lru_cache(maxsize=1)  # one command aggregates the same codes several times
@@ -125,7 +117,9 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
         low = math.floor(h)
         q = float(ordered[bisect_right(ranks, low)])
         if h > low:  # interpolate towards the next score in sorted order
-            q += (h - low) * (ordered[bisect_right(ranks, low + 1)] - q)
+            f, upper = h - low, ordered[bisect_right(ranks, low + 1)]
+            # A gap past the float range (inf) is split into terms that each stay finite.
+            q = q + f * (upper - q) if upper - q < math.inf else q - f * q + f * upper
         quartiles.append(q)
     # total / scale is the correctly rounded sum, so the mean equals math.fsum(scores) / n.
     return SurveyStats(total / scale / n, std, *quartiles)

@@ -136,6 +136,12 @@ MUTANTS = (
         ("tests/test_stats.py::test_quartiles_interpolate_between_order_statistics",),
     ),
     Mutant(
+        "quartile interpolation without the overflow fallback",
+        "stats.py",
+        (("if upper - q < math.inf else q - f * q + f * upper", "if True else None"),),
+        ("tests/test_stats.py::test_quartiles_of_far_apart_scores_stay_finite",),
+    ),
+    Mutant(
         "negative zero counted apart from zero",
         "stats.py",
         (("{score or 0.0: n for", "{score: n for"),),

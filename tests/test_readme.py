@@ -1,10 +1,13 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the package exports what it names."""
 
 from __future__ import annotations
 
 import re
 import shutil
 from pathlib import Path
+from types import ModuleType
+
+import suskit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +21,13 @@ def test_library_use_example_runs(tmp_path, monkeypatch, sample_path, golden_rep
     exec(example, namespace)
     assert (tmp_path / "results.txt").read_bytes() == golden_report.encode("utf-8")
     assert namespace["svg"].startswith("<svg ")
+
+
+def test_all_lists_the_public_names():
+    # Every public attribute other than a submodule is exported, and nothing else is.
+    public = {name for name, value in vars(suskit).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert set(suskit.__all__) == public
+    namespace: dict = {}
+    exec("from suskit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public

@@ -11,11 +11,7 @@ from suskit import (
     Adjective,
     Grade,
     ResponseRow,
-    classify_acceptability,
-    classify_adjective,
     classify_each,
-    classify_grade,
-    dimension_labels,
     score_all,
     score_response,
 )
@@ -58,7 +54,7 @@ def test_score_matches_per_item_formula(sample_rows):
     ],
 )
 def test_acceptability_bands(score, expected):
-    assert classify_acceptability(score) is expected
+    assert classify_each([score], "acceptability") == [expected]
 
 
 @pytest.mark.parametrize(
@@ -77,7 +73,7 @@ def test_acceptability_bands(score, expected):
     ],
 )
 def test_grade_bands(score, expected):
-    assert classify_grade(score) is expected
+    assert classify_each([score], "grade") == [expected]
 
 
 @pytest.mark.parametrize(
@@ -98,7 +94,7 @@ def test_grade_bands(score, expected):
     ],
 )
 def test_adjective_bands(score, expected):
-    assert classify_adjective(score) is expected
+    assert classify_each([score], "adjective") == [expected]
 
 
 def test_display_strings():
@@ -135,15 +131,16 @@ def test_classify_each_unknown_dimension():
         classify_each([50.0], "vibe")
 
 
-def test_dimension_labels_order():
-    assert [m.value for m in dimension_labels("acceptability")] == [
+def test_label_enums_in_report_order():
+    # A dimension's labels in report order are its enum's members: tuple(Grade), and so on.
+    assert [m.value for m in Acceptability] == [
         "NOT ACCEPTABLE",
         "LOW MARGINAL",
         "HIGH MARGINAL",
         "ACCEPTABLE",
     ]
-    assert [m.value for m in dimension_labels("grade")] == ["A", "B", "C", "D", "F"]
-    assert [m.value for m in dimension_labels("adjective")] == [
+    assert [m.value for m in Grade] == ["A", "B", "C", "D", "F"]
+    assert [m.value for m in Adjective] == [
         "WORST IMAGINABLE",
         "POOR",
         "OK",

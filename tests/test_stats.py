@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import partial
 from itertools import permutations
 
@@ -59,6 +60,17 @@ def test_quartiles_interpolate_between_order_statistics():
     assert stats.q3 == 47.5
 
 
+def test_quartiles_of_far_apart_scores_stay_finite():
+    # Two finite neighbours more than the largest float apart still interpolate to finite floats.
+    stats = descriptive_stats([1e308, -1e308])
+    assert (stats.q1, stats.median, stats.q3) == (-5e307, 0.0, 5e307)
+    assert f"{'Median (Q2)':<20}{'0.00':<20}\n" in render_report([1e308, -1e308])
+    # At three quarters of such a gap, f * upper - f * q overflows too: q - f * q comes first.
+    far = [Fraction(-1.3e308)] * 4 + [Fraction(1.75e308)] * 2
+    q3 = descriptive_stats([float(x) for x in far]).q3
+    assert q3 == pytest.approx(float(far[3] + Fraction(3, 4) * (far[4] - far[3])), rel=1e-15)
+
+
 def test_stats_ignore_input_order(sample_scores):
     forward = descriptive_stats(sample_scores)
     backward = descriptive_stats(list(reversed(sample_scores)))
@@ -112,7 +124,7 @@ def test_acceptability_table(sample_scores):
         ("HIGH MARGINAL", 0),
         ("ACCEPTABLE", 17),
     ]
-    assert table.total == 20
+    assert sum(n for _, n in table.entries) == 20
 
 
 def test_grade_table(sample_scores):
@@ -144,7 +156,8 @@ def test_single_score_table():
 
 def test_table_totals_match_input_size(sample_scores):
     for dimension in ("acceptability", "grade", "adjective"):
-        assert frequency_table(sample_scores, dimension).total == len(sample_scores)
+        table = frequency_table(sample_scores, dimension)
+        assert sum(n for _, n in table.entries) == len(sample_scores)
 
 
 def test_unknown_dimension_rejected():
@@ -155,7 +168,7 @@ def test_unknown_dimension_rejected():
 def test_histogram_sample(sample_scores):
     bins = histogram_bins(sample_scores)
     assert bins.counts == (1, 0, 1, 0, 1, 0, 0, 0, 6, 11)
-    assert bins.total == 20
+    assert sum(bins.counts) == 20
 
 
 def test_histogram_bin_edges():
