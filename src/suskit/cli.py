@@ -92,7 +92,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits itself: 2 on usage errors, 0 on --help.
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
 
     try:
         codes = load_responses(args.input, delimiter=args.delimiter).codes

@@ -124,6 +124,18 @@ MUTANTS = (
         ("tests/test_code_path.py::test_code_std_is_correctly_rounded",),
     ),
     Mutant(
+        "code square root scaled down by too much",
+        "stats.py",
+        (("(num, den << 2 * shift)", "(num, den << 3 * shift)"),),
+        ("tests/test_stats.py::test_sqrt_of_ratio_is_correctly_rounded",),
+    ),
+    Mutant(
+        "code square root marks every root inexact",
+        "stats.py",
+        (("root | (root * root * den != num)", "root | (root // root * den != num)"),),
+        ("tests/test_stats.py::test_sqrt_of_ratio_is_correctly_rounded",),
+    ),
+    Mutant(
         "common denominator taken from the smallest ratio",
         "stats.py",
         (("scale = max(den for _, den in ratios)", "scale = min(den for _, den in ratios)"),),
@@ -165,6 +177,12 @@ MUTANTS = (
         (("label_font, labels, shift = 10, [label for label, _ in bars], 0.5",
           "label_font, labels, shift = 10, [label for label, _ in bars], 0"),),
         ("tests/test_cli.py::test_all_chart_kinds_render",),
+    ),
+    Mutant(
+        "y-axis ticks drawn past the top",
+        "charts.py",
+        (("range(0, y_top + 1, tick_step)", "range(0, y_top + 2, tick_step)"),),
+        ("tests/test_charts.py::test_tick_step_1_labels_every_count_up_to_the_top",),
     ),
 )
 

@@ -131,6 +131,13 @@ def test_max_bar_fills_plot_height():
     assert float(bars[3]["y"]) == 60.0
 
 
+def test_tick_step_1_labels_every_count_up_to_the_top():
+    # The tallest bar is at most 10, so there is one tick per count and none above the plot.
+    root = ET.fromstring(render_histogram(HistogramBins((1, 3, 0, 0, 0, 0, 0, 0, 0, 0))))
+    ticks = next(g for g in root.iter(f"{SVG_NS}g") if g.get("class") == "y-ticks")
+    assert [text.text for text in ticks.iter(f"{SVG_NS}text")] == ["0", "1", "2", "3"]
+
+
 def test_bars_stay_inside_plot_area(sample_scores):
     for svg in (
         render_histogram(histogram_bins(sample_scores)),

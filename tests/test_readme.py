@@ -1,20 +1,27 @@
-"""The README's library example runs as written, and the package exports what it names."""
+"""The README's examples run as written, and the package exports what it names."""
 
 from __future__ import annotations
 
 import re
+import shlex
 import shutil
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import suskit
+from suskit.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
 def test_library_use_example_runs(tmp_path, monkeypatch, sample_path, golden_report):
-    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    example = re.search(r"```python\n(.*?)```", _section("Library use"), re.DOTALL).group(1)
     shutil.copyfile(sample_path, tmp_path / "responses.csv")
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
@@ -31,3 +38,22 @@ def test_all_lists_the_public_names():
     namespace: dict = {}
     exec("from suskit import *", namespace)
     assert set(namespace) - {"__builtins__"} == public
+
+
+def test_command_line_examples_parse():
+    block = re.search(r"```sh\n(.*?)```", _section("Command line"), re.DOTALL).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("suskit ")]
+    assert {argv[1] for argv in commands} == {"score", "report", "chart"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_quotes_no_duration():
+    # Timings go stale with every change; perfbench/ measures them instead.
+    durations = re.findall(r"\d\s*(?:s|ms|[µμ]s|seconds?)\b", README.read_text(encoding="utf-8"))
+    assert durations == []

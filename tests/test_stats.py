@@ -10,6 +10,7 @@ from itertools import permutations
 import oracle
 import pytest
 
+from suskit import stats
 from suskit import (
     DIMENSIONS,
     EmptyScoreSetError,
@@ -69,6 +70,17 @@ def test_quartiles_of_far_apart_scores_stay_finite():
     far = [Fraction(-1.3e308)] * 4 + [Fraction(1.75e308)] * 2
     q3 = descriptive_stats([float(x) for x in far]).q3
     assert q3 == pytest.approx(float(far[3] + Fraction(3, 4) * (far[4] - far[3])), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    ("num", "den", "root"),
+    [
+        (10**40, 1, 1e20),  # a ratio past 2**109 is scaled down, not up
+        ((2**53 + 1) ** 2, 1, 2.0**53),  # an exact root gets no odd bit, so its tie rounds to even
+    ],
+)
+def test_sqrt_of_ratio_is_correctly_rounded(num, den, root):
+    assert stats._sqrt_of_ratio(num, den) == root
 
 
 def test_stats_ignore_input_order(sample_scores):
