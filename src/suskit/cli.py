@@ -1,6 +1,7 @@
 """Command-line interface wiring parsing, scoring, statistics, and output.
 
-The argument parser is built once per process, at import; every main() reuses it.
+main() reads a well-formed command itself (see _read_argv) and builds the argparse parser
+only for any other argv, so help and usage errors stay argparse's own.
 Every command works on score codes, one byte k per response
 (ingest.ParseReport.codes), which the statistics aggregate through their 41 counts.
 
@@ -10,7 +11,6 @@ Exit codes: 0 on success, 1 for data or I/O errors (diagnostic on stderr),
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Sequence
 
@@ -27,11 +27,15 @@ CHART_KINDS = ("histogram",) + DIMENSIONS
 
 def _delimiter_arg(text: str) -> str:
     if len(text) != 1:
-        raise argparse.ArgumentTypeError("delimiter must be a single character")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError("delimiter must be a single character")
     return text
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="suskit",
         description="Compute System Usability Scale scores from questionnaire "
@@ -71,7 +75,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = build_parser()
+# The options each command takes, with their defaults as the parser sets them.
+_COMMAND_OPTIONS = {
+    "score": {"delimiter": DEFAULT_DELIMITER},
+    "report": {"delimiter": DEFAULT_DELIMITER, "output": DEFAULT_REPORT_PATH},
+    "chart": {"delimiter": DEFAULT_DELIMITER, "output": None},
+}
+
+
+def _read_argv(argv: Sequence[str]) -> dict | None:
+    """The parser's vars() for a well-formed command, or None to leave argv to the parser.
+
+    Well-formed is ``COMMAND [KIND] INPUT`` and then each of the command's options at
+    most once, as ``--name value``, where no token but an option name starts with "-".
+    """
+    options = _COMMAND_OPTIONS.get(argv[0] if argv else None)
+    if options is None:
+        return None
+    args, rest = {"command": argv[0], **options}, list(argv[1:])
+    if argv[0] == "chart":
+        if not rest or rest[0] not in CHART_KINDS:
+            return None
+        args["kind"] = rest.pop(0)
+    given = dict(zip(rest[1::2], rest[2::2]))  # a repeated name is counted once
+    if len(rest) != 1 + 2 * len(given) or rest[0].startswith("-") or any(
+            name[2:] not in options or not name.startswith("--") or value.startswith("-")
+            for name, value in given.items()):
+        return None
+    args.update({name[2:]: value for name, value in given.items()}, input=rest[0])
+    try:
+        _delimiter_arg(args["delimiter"])
+    except Exception:  # argparse.ArgumentTypeError, which the parser reports
+        return None
+    return args
 
 
 def _report_text(codes: bytes) -> str:
@@ -88,23 +124,26 @@ def _chart_svg(codes: bytes, kind: str) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI and return its exit code instead of exiting."""
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits itself: 2 on usage errors, 0 on --help.
-        return exc.code
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            # argparse exits itself: 2 on usage errors, 0 on --help.
+            return exc.code
 
     try:
-        codes = load_responses(args.input, delimiter=args.delimiter).codes
-        if args.command == "score":
+        codes = load_responses(args["input"], delimiter=args["delimiter"]).codes
+        if args["command"] == "score":
             sys.stdout.write("\n".join(map(_CODE_VALUES.__getitem__, codes)) + "\n")
-        elif args.command == "report":
+        elif args["command"] == "report":
             text = _report_text(codes)
-            write_report(text, args.output)  # an unwritable path fails before any output
+            write_report(text, args["output"])  # an unwritable path fails before any output
             sys.stdout.write(text)
         else:
-            output = args.output if args.output is not None else f"{args.kind}.svg"
-            write_report(_chart_svg(codes, args.kind), output)
+            output = args["output"] if args["output"] is not None else f"{args['kind']}.svg"
+            write_report(_chart_svg(codes, args["kind"]), output)
     except (ParseError, OSError) as exc:
         print(f"suskit: {exc}", file=sys.stderr)
         return 1

@@ -117,7 +117,9 @@ def write_report(text: str, path: str | os.PathLike[str] = DEFAULT_REPORT_PATH) 
     """Write report text to ``path`` byte-for-byte (no newline translation).
 
     Parent directories are not created, OS errors propagate unchanged, and an ``int``
-    path raises ``TypeError``.
+    path raises ``TypeError``. Text that UTF-8 cannot encode raises before the file is
+    opened, so an existing file keeps its bytes.
     """
-    with open(os.fspath(path), "w", encoding="utf-8", newline="") as handle:  # see load_responses
-        handle.write(text)
+    data = text.encode("utf-8")
+    with open(os.fspath(path), "wb") as handle:
+        handle.write(data)

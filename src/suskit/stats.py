@@ -2,8 +2,9 @@
 
 Every aggregate is a function of the distinct scores and their counts, at most 41
 pairs for SUS scores. A score set may also be given as score codes, a ``bytes`` of
-k in 0-40 for the scores 2.5 * k, whose pairs come from the 41 counts of k. The
-sums behind the mean and the variance are exact integer arithmetic.
+k in 0-40 for the scores 2.5 * k, whose pairs come from the 41 counts of k; its label
+and bin tallies are sums over slices of those counts. The sums behind the mean and
+the variance are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Callable, Hashable, Iterable, Sequence
 from functools import lru_cache
 from itertools import accumulate
 
-from .scoring import CODE_SCORES, _dimension
+from .scoring import CODE_SCORES, _code_slices, _dimension
 
 NUM_BINS = 10
 
@@ -60,7 +61,12 @@ class HistogramBins(namedtuple("HistogramBins", "counts")):
 
 @lru_cache(maxsize=1)  # one command aggregates the same codes several times
 def code_counts(codes: bytes) -> tuple[int, ...]:
-    """How often each score code k in 0-40 occurs in ``codes``, indexed by k."""
+    """How often each score code k in 0-40 occurs in ``codes``, indexed by k.
+
+    No codes raise ``EmptyScoreSetError``, and a code above 40 ``ValueError``.
+    """
+    if not codes:
+        raise EmptyScoreSetError()
     counts = tuple(codes.count(k) for k in range(len(CODE_SCORES)))
     if sum(counts) != len(codes):
         raise ValueError(f"score codes run 0-{len(CODE_SCORES) - 1}")
@@ -121,8 +127,13 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
             # A gap past the float range (inf) is split into terms that each stay finite.
             q = q + f * (upper - q) if upper - q < math.inf else q - f * q + f * upper
         quartiles.append(q)
-    # total / scale is the correctly rounded sum, so the mean equals math.fsum(scores) / n.
-    return SurveyStats(total / scale / n, std, *quartiles)
+    # total / scale is the correctly rounded sum, so the mean equals math.fsum(scores) / n
+    # wherever that sum is finite; where it is not, the mean may still be.
+    try:
+        mean = total / scale / n
+    except OverflowError:
+        mean = total / (scale * n)
+    return SurveyStats(mean, std, *quartiles)
 
 
 def _tally(counts: dict[float, int], key: Callable[[float], Hashable], keys: Iterable) -> dict:
@@ -135,9 +146,15 @@ def _tally(counts: dict[float, int], key: Callable[[float], Hashable], keys: Ite
 
 def frequency_table(scores: Sequence[float], dimension: str) -> FrequencyTable:
     """Count scores per label of one dimension; zero-count labels included."""
-    counts = _counted(scores)
-    dim = _dimension(dimension)
-    return FrequencyTable(dimension, tuple(_tally(counts, dim.classify, dim.labels).items()))
+    if isinstance(scores, bytes):  # a band's count is the sum of its slice of the code counts
+        counts = code_counts(scores)
+        slices = _dimension(dimension).code_slices
+        entries = tuple((label, sum(counts[codes])) for label, codes in slices)
+    else:
+        counts = _counted(scores)
+        dim = _dimension(dimension)
+        entries = tuple(_tally(counts, dim.classify, dim.labels).items())
+    return FrequencyTable(dimension, entries)
 
 
 def _bin(score: float) -> int:
@@ -146,6 +163,12 @@ def _bin(score: float) -> int:
     return min(int(score // 10), NUM_BINS - 1)
 
 
+_BIN_CODES = _code_slices(range(0, 100, 10))  # bin i holds the scores from 10 * i up
+
+
 def histogram_bins(scores: Sequence[float]) -> HistogramBins:
     """Bin scores into ten equal intervals; the last bin is closed at 100."""
+    if isinstance(scores, bytes):
+        counts = code_counts(scores)
+        return HistogramBins(tuple(sum(counts[codes]) for codes in _BIN_CODES))
     return HistogramBins(tuple(_tally(_counted(scores), _bin, range(NUM_BINS)).values()))

@@ -168,14 +168,13 @@ MUTANTS = (
     Mutant(
         "band bounds bisected from the left",
         "scoring.py",
-        (("from bisect import bisect_right", "from bisect import bisect_left as bisect_right"),),
+        (("bisect_right(self.bounds, score, 1)", "bisect_left(self.bounds, score, 1)"),),
         ("tests/test_scoring.py::test_grade_bands",),
     ),
     Mutant(
         "category labels on the slot edge",
         "charts.py",
-        (("label_font, labels, shift = 10, [label for label, _ in bars], 0.5",
-          "label_font, labels, shift = 10, [label for label, _ in bars], 0"),),
+        (("label_font, x_labels, shift = 10, labels, 0.5", "label_font, x_labels, shift = 10, labels, 0"),),
         ("tests/test_cli.py::test_all_chart_kinds_render",),
     ),
     Mutant(
@@ -183,6 +182,31 @@ MUTANTS = (
         "charts.py",
         (("range(0, y_top + 1, tick_step)", "range(0, y_top + 2, tick_step)"),),
         ("tests/test_charts.py::test_tick_step_1_labels_every_count_up_to_the_top",),
+    ),
+    Mutant(
+        "code slices bisected from the right",
+        "scoring.py",
+        (("starts = [bisect_left(CODE_SCORES, bound)", "starts = [bisect_right(CODE_SCORES, bound)"),),
+        ("tests/test_code_path.py::test_code_tallies_equal_float_tallies",),
+    ),
+    Mutant(
+        "lowest band bound raised past code 0",
+        "scoring.py",
+        (("((0, Acceptability.NOT_ACCEPTABLE)", "((2.5, Acceptability.NOT_ACCEPTABLE)"),),
+        ("tests/test_code_path.py::test_code_tallies_equal_float_tallies",),
+    ),
+    Mutant(
+        "argv reader accepts a two-character delimiter",
+        "cli.py",
+        (('_delimiter_arg(args["delimiter"])', '_delimiter_arg(args["delimiter"][:1])'),),
+        ("tests/test_cli.py::test_argv_reader_agrees_with_argparse",),
+    ),
+    Mutant(
+        "chart frame cache ignores the labels",
+        "charts.py",
+        (("@lru_cache(maxsize=16)\ndef _frame(",
+          "@(lambda f, memo={}: lambda *a: memo.setdefault(a[:2], f(*a)))\ndef _frame("),),
+        ("tests/test_charts.py::test_charts_of_one_kind_keep_their_own_labels",),
     ),
 )
 

@@ -169,6 +169,14 @@ def test_category_labels_under_bars(sample_scores):
     assert labels == ["A", "B", "C", "D", "F"]
 
 
+def test_charts_of_one_kind_keep_their_own_labels():
+    # A chart drawn from a table lends its labels to no later chart of the same kind.
+    full = frequency_table(bytes(range(41)), "grade")
+    for table in (full, FrequencyTable("grade", full.entries[::-1]), full):
+        svg = render_category_chart(table)
+        assert bar_pairs(svg) == [(label.value, count) for label, count in table.entries]
+
+
 def test_unknown_dimension_rejected():
     from suskit import Grade
 
@@ -189,11 +197,12 @@ markup_texts = st.text(alphabet="&<>\"'a ;", max_size=12)
 
 @given(kind=markup_texts, title=markup_texts, labels=st.lists(markup_texts, min_size=1, max_size=4))
 def test_markup_escapes_as_saxutils(kind, title, labels):
-    bars = [(label, count) for count, label in enumerate(labels)]
+    labels, counts = tuple(labels), range(len(labels))
 
     def render():
-        return (charts._bar_chart_svg(kind, title, bars),
-                charts._bar_chart_svg(kind, title, bars, boundary_labels=[*labels, "&end"]))
+        charts._frame.cache_clear()  # a frame kept from the other render would hide _escape
+        return (charts._bar_chart_svg(kind, title, labels, counts),
+                charts._bar_chart_svg(kind, title, labels, counts, (*labels, "&end")))
 
     ours = render()
     with mock.patch.object(charts, "_escape", escape):

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import io
 import os
 import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import suskit.__main__
 from suskit import load_responses, write_report
-from suskit.cli import main
+from suskit.cli import CHART_KINDS, _read_argv, build_parser, main
 
 GOOD_LINE = "5;2;5;1;4;1;5;1;4;2"
 
@@ -228,7 +232,7 @@ def test_chart_write_failure(capsys, tmp_path, sample_path):
 def test_calls_in_one_process_share_no_state(
     capsys, tmp_path, monkeypatch, sample_path, sample_scores, golden_report
 ):
-    # main() reuses one parser per process, so no option may leak into the next call.
+    # No option may leak from one call into the next.
     monkeypatch.chdir(tmp_path)
     sample_out = "".join(f"{score:.1f}\n" for score in sample_scores)
     commas = tmp_path / "commas.csv"
@@ -307,6 +311,8 @@ def modules_loaded_by_cli_import() -> set[str]:
     "dataclasses", "inspect", "ast", "dis", "tokenize",
     # The report rounds to two decimals on integers.
     "decimal",
+    # A well-formed command is read without argparse, which also loads gettext and locale.
+    "argparse", "gettext", "locale",
 ])
 def test_cli_import_loads_no(module, modules_loaded_by_cli_import):
     assert module not in modules_loaded_by_cli_import
@@ -332,3 +338,54 @@ def test_console_script_on_path(sample_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[-1] == "5.0"
+
+
+def test_well_formed_command_runs_without_argparse(tmp_path, monkeypatch, sample_path, golden_report):
+    env = {**os.environ, "PYTHONPATH": SUSKIT_TREE, "COLUMNS": "80"}
+    target = tmp_path / "report.txt"
+    # -X importtime lists on stderr every module the run imports, one per line after a header.
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "suskit", "report", str(sample_path),
+         "--output", str(target)],
+        capture_output=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == target.read_bytes() == golden_report.encode("utf-8")
+    imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.decode().splitlines()[1:]}
+    assert "suskit.cli" in imported
+    assert imported.isdisjoint({"argparse", "gettext", "locale"})
+    # Any other argv is argparse's, help included.
+    result = subprocess.run([sys.executable, "-S", "-m", "suskit", "--help"],
+                            capture_output=True, text=True, env=env)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (result.returncode, result.stdout, result.stderr) == (0, build_parser().format_help(), "")
+
+
+# Tokens for argv: commands, kinds, options in full, abbreviated and with "=", "-"-led
+# paths and values, and delimiters of every length.
+argv_tokens = st.sampled_from([
+    "score", "report", "chart", *CHART_KINDS, "pie", "--delimiter", "--output", "--out",
+    "--delim", "--output=x.txt", "--delimiter=,", "--kind", "--input", "--", "-", "-h",
+    "--help", "-x.csv", "-5", "in.csv", "out.svg", "", ",", ";", "\t", ",,", ";;;", "a b",
+])
+# A command and its positionals, then (option, value) pairs, each part mostly well-formed.
+shaped_argv = st.builds(
+    lambda head, positional, options: [*head, positional, *(t for pair in options for t in pair)],
+    st.sampled_from([["score"], ["report"], *(["chart", kind] for kind in CHART_KINDS)]),
+    st.sampled_from(["in.csv", "a b", ""]) | argv_tokens,
+    st.lists(st.tuples(st.sampled_from(["--delimiter", "--output"]),
+                       st.sampled_from([",", "\t", "out.txt"])) | st.tuples(argv_tokens, argv_tokens),
+             max_size=2, unique_by=lambda pair: pair[0]),
+)
+
+
+@given(argv=st.one_of(shaped_argv, st.lists(argv_tokens, max_size=7)))
+def test_argv_reader_agrees_with_argparse(argv):
+    try:
+        with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):  # usage and help
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    fast = _read_argv(argv)
+    assert fast is None or fast == expected

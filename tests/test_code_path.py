@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from suskit import (
     DIMENSIONS,
+    EmptyScoreSetError,
     ResponseRow,
     descriptive_stats,
     frequency_table,
@@ -26,6 +27,7 @@ from suskit import (
     score_all,
 )
 from suskit.cli import main
+from suskit.scoring import CODE_SCORES
 from suskit.stats import code_counts
 
 answer_tuples = st.lists(st.integers(1, 5), min_size=10, max_size=10).map(tuple)
@@ -170,6 +172,21 @@ def test_codes_above_40_are_rejected():
             aggregate(codes)
     with pytest.raises(ValueError, match="score codes run 0-40"):
         render_report(codes)
+
+
+@given(codes=st.one_of(st.lists(st.integers(0, 40), max_size=300).map(bytes), st.binary(max_size=8)))
+def test_code_tallies_equal_float_tallies(codes):
+    # Code tallies sum slices of the 41 counts; the float path classifies and bins each score.
+    tallies = [histogram_bins, *(partial(frequency_table, dimension=d) for d in DIMENSIONS)]
+    for tally in tallies:
+        if max(codes, default=0) > 40:
+            with pytest.raises(ValueError, match="score codes run 0-40"):
+                tally(codes)
+        elif not codes:
+            with pytest.raises(EmptyScoreSetError):
+                tally(codes)
+        else:
+            assert tally(codes) == tally([CODE_SCORES[k] for k in codes])
 
 
 class CountingCodes(bytes):

@@ -11,7 +11,7 @@ from types import ModuleType
 import pytest
 
 import suskit
-from suskit.cli import build_parser
+from suskit.cli import _read_argv, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,9 +48,11 @@ def test_command_line_examples_parse():
     parser = build_parser()
     for argv in commands:
         try:
-            parser.parse_args(argv[1:])
+            expected = vars(parser.parse_args(argv[1:]))
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        # The CLI reads a well-formed command itself; it must read it as the parser does.
+        assert _read_argv(argv[1:]) in (None, expected)
 
 
 def test_quotes_no_duration():

@@ -171,6 +171,14 @@ def test_write_report_default_path(tmp_path, monkeypatch):
     assert (tmp_path / "results.txt").read_text(encoding="utf-8") == "hello\n"
 
 
+def test_write_report_keeps_the_file_on_text_it_cannot_encode(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old report\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_report("x\ud800", target)
+    assert target.read_bytes() == b"old report\n"
+
+
 def test_write_report_missing_directory(tmp_path):
     with pytest.raises(OSError):
         write_report("x\n", tmp_path / "absent" / "out.txt")

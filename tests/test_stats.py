@@ -72,6 +72,14 @@ def test_quartiles_of_far_apart_scores_stay_finite():
     assert q3 == pytest.approx(float(far[3] + Fraction(3, 4) * (far[4] - far[3])), rel=1e-15)
 
 
+def test_mean_of_scores_whose_sum_leaves_the_float_range():
+    # The sum 3.4e308 is past the largest float, the mean 1.7e308 is not.
+    assert descriptive_stats([1.7e308, 1.7e308]) == (1.7e308, 0.0, 1.7e308, 1.7e308, 1.7e308)
+    # Here the standard deviation, 1.7e308 * sqrt(2), is itself past it.
+    with pytest.raises(OverflowError):
+        descriptive_stats([1.7e308, -1.7e308])
+
+
 @pytest.mark.parametrize(
     ("num", "den", "root"),
     [
