@@ -11,6 +11,7 @@ Exit codes: 0 on success, 1 for data or I/O errors (diagnostic on stderr),
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Sequence
 
@@ -122,9 +123,9 @@ def _chart_svg(codes: bytes, kind: str) -> str:
     return render_category_chart(frequency_table(codes, kind))
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the CLI and return its exit code instead of exiting."""
-    argv = sys.argv[1:] if argv is None else argv
+def main(argv: Sequence[str | bytes | os.PathLike] | None = None) -> int:
+    """Run the CLI and return its exit code instead of exiting. An int token raises TypeError."""
+    argv = [os.fsdecode(arg) for arg in (sys.argv[1:] if argv is None else argv)]
     args = _read_argv(argv)
     if args is None:
         try:

@@ -8,7 +8,7 @@ point, so the classifiers below need no tolerance at their boundaries.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from enum import Enum
 
@@ -59,25 +59,15 @@ def score_all(rows: Sequence[ResponseRow]) -> list[float]:
 CODE_SCORES: tuple[float, ...] = tuple(2.5 * k for k in range(4 * ITEMS_PER_RESPONSE + 1))
 
 
-def _code_slices(bounds: Sequence[float]) -> list[slice]:
-    """The score codes of each band as a slice of the 41 code counts, from the bands'
-    inclusive lower bounds, lowest first; the last band runs to code 40."""
-    starts = [bisect_left(CODE_SCORES, bound) for bound in bounds]
-    return list(map(slice, starts, starts[1:] + [len(CODE_SCORES)]))
-
-
 class _Dimension:
     """One categorical dimension: its bands, and how reports and charts name it."""
 
     def __init__(self, labels: type[Enum], bands: tuple[tuple[float, Enum], ...], heading: str,
                  rule: int, field_name: str, chart_title: str):
-        self.labels = labels  # member order is report order
         # bands are (inclusive lower bound, label), lowest band first.
-        self.bounds = tuple(bound for bound, _ in bands)
-        self.band_labels = tuple(label for _, label in bands)
-        # Each label in report order with its band's slice of the code counts.
-        slices = dict(zip(self.band_labels, _code_slices(self.bounds)))
-        self.code_slices = tuple((label, slices[label]) for label in labels)
+        self.bounds, self.band_labels = zip(*bands)
+        # Each label in report order, its enum's member order, with the index of its band.
+        self.report_order = tuple((label, self.band_labels.index(label)) for label in labels)
         self.heading = heading  # frequency-table heading in the multi-response report
         self.rule = rule  # length of the separator under that heading
         self.field_name = field_name  # row name in the single-response report, summary column
@@ -88,7 +78,7 @@ class _Dimension:
         return self.band_labels[bisect_right(self.bounds, score, 1) - 1]
 
 
-# Bands after Bangor, Kortum & Miller (2009).
+# Bands after Bangor, Kortum & Miller (2009). Lowest bounds are unread on purpose: see classify.
 _TABLE: dict[str, _Dimension] = {
     "acceptability": _Dimension(
         Acceptability,

@@ -2,21 +2,21 @@
 
 Every aggregate is a function of the distinct scores and their counts, at most 41
 pairs for SUS scores. A score set may also be given as score codes, a ``bytes`` of
-k in 0-40 for the scores 2.5 * k, whose pairs come from the 41 counts of k; its label
-and bin tallies are sums over slices of those counts. The sums behind the mean and
-the variance are exact integer arithmetic.
+k in 0-40 for the scores 2.5 * k, whose pairs come from the 41 counts of k. Quartiles,
+label counts and bin counts are cuts of the pairs' running counts in ascending order.
+The sums behind the mean and the variance are exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate
 
-from .scoring import CODE_SCORES, _code_slices, _dimension
+from .scoring import CODE_SCORES, _dimension
 
 NUM_BINS = 10
 
@@ -136,39 +136,27 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
     return SurveyStats(mean, std, *quartiles)
 
 
-def _tally(counts: dict[float, int], key: Callable[[float], Hashable], keys: Iterable) -> dict:
-    """Sum ``counts`` per ``key(score)``, one entry per member of ``keys``, in that order."""
-    tally = dict.fromkeys(keys, 0)
-    for score, count in counts.items():
-        tally[key(score)] += count
-    return tally
+def _band_counts(counts: dict[float, int], bounds: Sequence[float]) -> list[int]:
+    """Scores per band, lowest first, from the bands' inclusive lower bounds. The lowest
+    bound is not read: that band takes every score below the next bound."""
+    ordered = sorted(counts)
+    below = [0, *accumulate(map(counts.__getitem__, ordered))]  # scores under ordered[i]
+    cuts = [0, *[below[bisect_left(ordered, bound)] for bound in bounds[1:]], below[-1]]
+    return [high - low for low, high in zip(cuts, cuts[1:])]
 
 
 def frequency_table(scores: Sequence[float], dimension: str) -> FrequencyTable:
-    """Count scores per label of one dimension; zero-count labels included."""
-    if isinstance(scores, bytes):  # a band's count is the sum of its slice of the code counts
-        counts = code_counts(scores)
-        slices = _dimension(dimension).code_slices
-        entries = tuple((label, sum(counts[codes])) for label, codes in slices)
-    else:
-        counts = _counted(scores)
-        dim = _dimension(dimension)
-        entries = tuple(_tally(counts, dim.classify, dim.labels).items())
-    return FrequencyTable(dimension, entries)
-
-
-def _bin(score: float) -> int:
-    if not 0 <= score <= 100:
-        raise ValueError(f"score {score} outside 0-100")
-    return min(int(score // 10), NUM_BINS - 1)
-
-
-_BIN_CODES = _code_slices(range(0, 100, 10))  # bin i holds the scores from 10 * i up
+    """Count scores per label of one dimension; zero-count labels included.
+    Scores below 0 count in the lowest band, scores above 100 in the top band."""
+    counts, dim = _counted(scores), _dimension(dimension)  # an empty set is reported first
+    bands = _band_counts(counts, dim.bounds)
+    return FrequencyTable(dimension, tuple((label, bands[i]) for label, i in dim.report_order))
 
 
 def histogram_bins(scores: Sequence[float]) -> HistogramBins:
     """Bin scores into ten equal intervals; the last bin is closed at 100."""
-    if isinstance(scores, bytes):
-        counts = code_counts(scores)
-        return HistogramBins(tuple(sum(counts[codes]) for codes in _BIN_CODES))
-    return HistogramBins(tuple(_tally(_counted(scores), _bin, range(NUM_BINS)).values()))
+    counts = _counted(scores)
+    for score in counts:  # first seen first: the first score outside 0-100 is named
+        if not 0 <= score <= 100:
+            raise ValueError(f"score {score} outside 0-100")
+    return HistogramBins(tuple(_band_counts(counts, range(0, 100, 10))))

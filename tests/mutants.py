@@ -86,9 +86,9 @@ MUTANTS = (
         ("tests/test_ingest.py::test_parse_report_compares_by_value",),
     ),
     Mutant(
-        "tally counts each distinct score once",
+        "band counts add 1 per distinct score",
         "stats.py",
-        (("tally[key(score)] += count", "tally[key(score)] += 1"),),
+        (("accumulate(map(counts.__getitem__, ordered))", "accumulate(1 for _ in ordered)"),),
         ("tests/test_properties.py::test_tallies_match_per_row_counts",),
     ),
     Mutant(
@@ -144,7 +144,8 @@ MUTANTS = (
     Mutant(
         "quartile rank found from the left",
         "stats.py",
-        (("from bisect import bisect_right", "from bisect import bisect_left as bisect_right"),),
+        (("from bisect import bisect_left, bisect_right",
+          "from bisect import bisect_left, bisect_left as bisect_right"),),
         ("tests/test_stats.py::test_quartiles_interpolate_between_order_statistics",),
     ),
     Mutant(
@@ -168,7 +169,8 @@ MUTANTS = (
     Mutant(
         "band bounds bisected from the left",
         "scoring.py",
-        (("bisect_right(self.bounds, score, 1)", "bisect_left(self.bounds, score, 1)"),),
+        (("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
+         ("bisect_right(self.bounds, score, 1)", "bisect_left(self.bounds, score, 1)")),
         ("tests/test_scoring.py::test_grade_bands",),
     ),
     Mutant(
@@ -184,16 +186,16 @@ MUTANTS = (
         ("tests/test_charts.py::test_tick_step_1_labels_every_count_up_to_the_top",),
     ),
     Mutant(
-        "code slices bisected from the right",
-        "scoring.py",
-        (("starts = [bisect_left(CODE_SCORES, bound)", "starts = [bisect_right(CODE_SCORES, bound)"),),
-        ("tests/test_code_path.py::test_code_tallies_equal_float_tallies",),
+        "band cut bisected from the right",
+        "stats.py",
+        (("below[bisect_left(ordered, bound)]", "below[bisect_right(ordered, bound)]"),),
+        ("tests/test_properties.py::test_tallies_match_per_row_counts",),
     ),
     Mutant(
-        "lowest band bound raised past code 0",
-        "scoring.py",
-        (("((0, Acceptability.NOT_ACCEPTABLE)", "((2.5, Acceptability.NOT_ACCEPTABLE)"),),
-        ("tests/test_code_path.py::test_code_tallies_equal_float_tallies",),
+        "band cut at the lowest bound",
+        "stats.py",
+        (("cuts = [0, *[", "cuts = [below[bisect_left(ordered, bounds[0])], *["),),
+        ("tests/test_properties.py::test_tallies_outside_0_100",),
     ),
     Mutant(
         "argv reader accepts a two-character delimiter",

@@ -139,6 +139,22 @@ def test_integer_path_is_not_a_file_descriptor():
         write_report("5.0\n", "")
 
 
+def test_path_tokens_read_as_their_str(capsys, tmp_path, sample_path):
+    # A library caller may pass path-like tokens, as load_responses and write_report take.
+    for argv in (["score", sample_path], ["score", sample_path, "--delimiter=;"],
+                 ["score", os.fsencode(sample_path)],
+                 ["report", sample_path, "--output", tmp_path / "report.txt"],
+                 ["chart", "grade", sample_path, "--output", tmp_path / "grade.svg"]):
+        expected = run_cli(capsys, *map(os.fsdecode, argv))
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv) == expected
+    # A token that is neither a str nor path-like raises before any output.
+    with pytest.raises(TypeError):
+        main(["report", 3, "--output", str(tmp_path / "int.txt")])
+    assert capsys.readouterr() == ("", "")
+    assert not (tmp_path / "int.txt").exists()
+
+
 def test_parse_error_diagnostic_has_coordinates(capsys, tmp_path):
     source = tmp_path / "bad.csv"
     source.write_text("1;2;3;4;5;1;2;3;4\n", encoding="utf-8")

@@ -176,7 +176,8 @@ def test_codes_above_40_are_rejected():
 
 @given(codes=st.one_of(st.lists(st.integers(0, 40), max_size=300).map(bytes), st.binary(max_size=8)))
 def test_code_tallies_equal_float_tallies(codes):
-    # Code tallies sum slices of the 41 counts; the float path classifies and bins each score.
+    # Codes reach the tallies through their 41 counts and scores through a Counter; both cut the
+    # same running counts, so they agree, and codes keep their own errors.
     tallies = [histogram_bins, *(partial(frequency_table, dimension=d) for d in DIMENSIONS)]
     for tally in tallies:
         if max(codes, default=0) > 40:

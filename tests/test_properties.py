@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import re
 
 import oracle
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from suskit import (
@@ -178,3 +180,23 @@ def test_tallies_match_per_row_counts(scores):
             expected[label.value] += 1
         table = frequency_table(scores, dimension)
         assert [(label.value, n) for label, n in table.entries] == list(expected.items())
+
+
+@given(scores=st.lists(st.one_of(score_values, st.sampled_from([-5.0, -0.0, 100.5, 1e6])),
+                       min_size=1, max_size=30))
+@example(scores=[50.0, -5.0, 1e6, -0.0, 100.5])
+def test_tallies_outside_0_100(scores):
+    # The lowest band takes every score below 0, and the top band every score above 100.
+    for dimension in DIMENSIONS:
+        bands = oracle.BANDS[dimension]
+        labels = [label.value for label in classify_each(scores, dimension)]
+        assert labels == [([name for lower, name in bands[1:] if score >= lower] or [bands[0][1]])[-1]
+                          for score in scores]
+        table = frequency_table(scores, dimension)
+        expected = [(label, labels.count(label)) for label in oracle.ORDER[dimension]]
+        assert [(label.value, n) for label, n in table.entries] == expected
+    # The histogram rejects them instead, naming the first in input order.
+    outside = [score for score in scores if not 0 <= score <= 100]
+    if outside:
+        with pytest.raises(ValueError, match=f"^score {re.escape(str(outside[0]))} outside 0-100$"):
+            histogram_bins(scores)
