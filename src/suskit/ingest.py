@@ -195,5 +195,5 @@ def load_responses(path: str | os.PathLike[str], delimiter: str = DEFAULT_DELIMI
         error = ParseError(f"not valid UTF-8: {exc.reason}", line_no=line_no)
     except ParseError as exc:
         error = exc
-    error.source = str(path)
+    error.source = os.fsdecode(path)
     raise error

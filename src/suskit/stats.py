@@ -1,10 +1,10 @@
 """Descriptive statistics, frequency tables, and histogram binning for score sets.
 
-Every aggregate is a function of the distinct scores and their counts, at most 41
-pairs for SUS scores. A score set may also be given as score codes, a ``bytes`` of
-k in 0-40 for the scores 2.5 * k, whose pairs come from the 41 counts of k. Quartiles,
-label counts and bin counts are cuts of the pairs' running counts in ascending order.
-The sums behind the mean and the variance are exact integer arithmetic.
+Every aggregate reads one pair: the distinct scores in ascending order and the count of
+each, at most 41 scores for SUS. A score set may also be given as score codes, a ``bytes``
+of k in 0-40 for the scores 2.5 * k; its pair is all 41 scores with their 41 counts, zeros
+included, as they are. Quartiles, label counts and bin counts are cuts of the running
+counts. The sums behind the mean and the variance are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .scoring import CODE_SCORES, _dimension
 
@@ -82,21 +82,22 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
     return math.ldexp(root | (root * root * den != num), shift)
 
 
-def _counted(scores: Sequence[float]) -> dict[float, int]:
-    """Each distinct score of a score set with its count, first seen first.
+def _counted(scores: Sequence[float]) -> tuple[Sequence[float], Sequence[int]]:
+    """The distinct scores of a score set in ascending order, and the count of each.
 
-    ``-0.0`` counts as ``0.0``. A NaN or infinite score raises ``ValueError``,
-    naming the first one in input order.
+    Codes give all 41 ``CODE_SCORES`` with their ``code_counts``, zeros included: a zero
+    count moves no sum, quartile rank or band cut. ``-0.0`` counts as ``0.0``. A NaN or
+    infinite score raises ``ValueError``, naming the first one in input order.
     """
     if not scores:
         raise EmptyScoreSetError()
     if isinstance(scores, bytes):
-        return {score: n for score, n in zip(CODE_SCORES, code_counts(scores)) if n}
+        return CODE_SCORES, code_counts(scores)
     counts = {score or 0.0: n for score, n in Counter(scores).items()}  # -0.0 becomes 0.0
     for score in counts:
         if not math.isfinite(score):
             raise ValueError(f"score {score} is not finite")
-    return counts
+    return tuple(zip(*sorted(counts.items())))  # the scores ascending, then their counts
 
 
 def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
@@ -105,16 +106,14 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
     The standard deviation uses the n-1 denominator and is defined as 0
     for a single score. A NaN or infinite score raises ``ValueError``.
     """
-    counts = _counted(scores)
-    ordered = sorted(counts)
-    weights = [counts[score] for score in ordered]
+    ordered, weights = _counted(scores)
     n = len(scores)
-    # Every score is num / den with den a power of two, so an integer over the largest den.
-    ratios = [score.as_integer_ratio() for score in ordered]
+    # Each score with a count is num / den, den a power of two: an integer over the largest den.
+    ratios = [score.as_integer_ratio() for score in compress(ordered, weights)]
     scale = max(den for _, den in ratios)
     scaled = [num * (scale // den) for num, den in ratios]
-    total = sum(x * count for x, count in zip(scaled, weights))
-    squares = sum(x * x * count for x, count in zip(scaled, weights))
+    total = sum(x * count for x, count in zip(scaled, filter(None, weights)))
+    squares = sum(x * x * count for x, count in zip(scaled, filter(None, weights)))
     std = _sqrt_of_ratio(n * squares - total * total, n * (n - 1) * scale**2) if n > 1 else 0.0
     # The score at 0-based rank r in sorted order is the first whose cumulative count exceeds r.
     ranks = list(accumulate(weights))
@@ -136,11 +135,10 @@ def descriptive_stats(scores: Sequence[float]) -> SurveyStats:
     return SurveyStats(mean, std, *quartiles)
 
 
-def _band_counts(counts: dict[float, int], bounds: Sequence[float]) -> list[int]:
+def _band_counts(ordered: Sequence[float], weights: Sequence[int], bounds: Sequence[float]) -> list[int]:
     """Scores per band, lowest first, from the bands' inclusive lower bounds. The lowest
     bound is not read: that band takes every score below the next bound."""
-    ordered = sorted(counts)
-    below = [0, *accumulate(map(counts.__getitem__, ordered))]  # scores under ordered[i]
+    below = [0, *accumulate(weights)]  # scores under ordered[i]
     cuts = [0, *[below[bisect_left(ordered, bound)] for bound in bounds[1:]], below[-1]]
     return [high - low for low, high in zip(cuts, cuts[1:])]
 
@@ -148,15 +146,15 @@ def _band_counts(counts: dict[float, int], bounds: Sequence[float]) -> list[int]
 def frequency_table(scores: Sequence[float], dimension: str) -> FrequencyTable:
     """Count scores per label of one dimension; zero-count labels included.
     Scores below 0 count in the lowest band, scores above 100 in the top band."""
-    counts, dim = _counted(scores), _dimension(dimension)  # an empty set is reported first
-    bands = _band_counts(counts, dim.bounds)
+    counted, dim = _counted(scores), _dimension(dimension)  # an empty set is reported first
+    bands = _band_counts(*counted, dim.bounds)
     return FrequencyTable(dimension, tuple((label, bands[i]) for label, i in dim.report_order))
 
 
 def histogram_bins(scores: Sequence[float]) -> HistogramBins:
     """Bin scores into ten equal intervals; the last bin is closed at 100."""
-    counts = _counted(scores)
-    for score in counts:  # first seen first: the first score outside 0-100 is named
-        if not 0 <= score <= 100:
-            raise ValueError(f"score {score} outside 0-100")
-    return HistogramBins(tuple(_band_counts(counts, range(0, 100, 10))))
+    ordered, weights = _counted(scores)
+    if not 0 <= ordered[0] <= ordered[-1] <= 100:
+        outside = next(score for score in scores if not 0 <= score <= 100)  # the first one
+        raise ValueError(f"score {outside} outside 0-100")
+    return HistogramBins(tuple(_band_counts(ordered, weights, range(0, 100, 10))))

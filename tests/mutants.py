@@ -49,6 +49,12 @@ MUTANTS = (
         ("tests/test_ingest.py::test_lookup_agrees_with_full_parse",),
     ),
     Mutant(
+        "layout column sum read little-endian",
+        "ingest.py",
+        (('sum(int.from_bytes(column, "big")', 'sum(int.from_bytes(column, "little")'),),
+        ("tests/test_ingest.py::test_layout_route_sweeps_every_response",),
+    ),
+    Mutant(
         "walk without the range check",
         "ingest.py",
         (("if not LIKERT_MIN <= value <= LIKERT_MAX:", "if False:"),),
@@ -88,7 +94,7 @@ MUTANTS = (
     Mutant(
         "band counts add 1 per distinct score",
         "stats.py",
-        (("accumulate(map(counts.__getitem__, ordered))", "accumulate(1 for _ in ordered)"),),
+        (("[0, *accumulate(weights)]", "[0, *accumulate(1 for _ in weights)]"),),
         ("tests/test_properties.py::test_tallies_match_per_row_counts",),
     ),
     Mutant(
@@ -195,6 +201,12 @@ MUTANTS = (
         "band cut at the lowest bound",
         "stats.py",
         (("cuts = [0, *[", "cuts = [below[bisect_left(ordered, bounds[0])], *["),),
+        ("tests/test_properties.py::test_tallies_outside_0_100",),
+    ),
+    Mutant(
+        "histogram end check without its top",
+        "stats.py",
+        (("if not 0 <= ordered[0] <= ordered[-1] <= 100:", "if not 0 <= ordered[0]:"),),
         ("tests/test_properties.py::test_tallies_outside_0_100",),
     ),
     Mutant(

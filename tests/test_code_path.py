@@ -210,3 +210,16 @@ def test_aggregates_count_the_codes_once():
     scores = [2.5 * k for k in codes]
     assert tables == {dimension: frequency_table(scores, dimension) for dimension in DIMENSIONS}
     assert bins == histogram_bins(scores)
+
+
+def test_codes_are_never_sorted():
+    # Codes bring their 41 scores ascending: no aggregate of them sorts anything.
+    codes = bytes([7, 40, 0, 7, 19, 33, 26])
+    with mock.patch("suskit.stats.sorted", create=True, side_effect=AssertionError("sorted")):
+        descriptive_stats(codes)
+        for dimension in DIMENSIONS:
+            frequency_table(codes, dimension)
+        histogram_bins(codes)
+        render_report(codes)
+        with pytest.raises(AssertionError, match="sorted"):  # floats do sort, so the patch holds
+            descriptive_stats([2.5 * k for k in codes])

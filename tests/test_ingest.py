@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import time
+from itertools import product
 from unittest import mock
 
 import oracle
@@ -262,6 +265,21 @@ def test_clean_files_take_the_layout(tmp_path):
             assert load_responses(path, delimiter) == ParseReport(expected.codes[:n], n), text
 
 
+def test_layout_route_sweeps_every_response():
+    # All 5**10 responses on the layout route, in 5**5 texts: one per first half-row, each
+    # followed by every second half. The codes are the oracle's two half-row codes added.
+    halves = list(product(range(1, 6), repeat=5))
+    texts = [";".join(map(str, half)) for half in halves]
+    second = bytes(oracle.partial_code(half, 6) for half in halves)
+    start = time.perf_counter()
+    with mock.patch.object(ingest, "_answers", side_effect=AssertionError("walk")):
+        for half, first in zip(halves, texts):
+            k = oracle.partial_code(half, 1)
+            codes = parse_responses(first + ";" + f"\n{first};".join(texts) + "\n").codes
+            assert codes == second.translate(bytes(range(k, 256)) + bytes(k)), first
+    assert time.perf_counter() - start < 5
+
+
 def test_header_line_is_an_error_not_skipped():
     text = "q1;q2;q3;q4;q5;q6;q7;q8;q9;q10\n" + GOOD_LINE + "\n"
     with pytest.raises(NotAnIntegerError) as excinfo:
@@ -314,6 +332,15 @@ def test_load_tags_parse_errors_with_path(tmp_path):
     assert err.source == str(path)
     assert str(path) in str(err)
     assert "line 1" in str(err)
+
+
+def test_bytes_path_named_as_decoded(tmp_path):
+    path = os.fsencode(tmp_path / "broken.csv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("1;2;3\n")
+    with pytest.raises(BadFieldCountError) as excinfo:
+        load_responses(path)
+    assert str(excinfo.value) == f"{os.fsdecode(path)}: line 1: expected 10 fields, found 3"
 
 
 def test_parse_error_message_shape():
