@@ -15,6 +15,8 @@ from functools import lru_cache
 from .scoring import _TABLE, _dimension
 from .stats import NUM_BINS, FrequencyTable, HistogramBins
 
+__all__ = ["CATEGORY_TITLES", "HISTOGRAM_TITLE", "render_category_chart", "render_histogram"]
+
 CANVAS_WIDTH = 800
 CANVAS_HEIGHT = 600
 _MARGIN_X = CANVAS_WIDTH // 10

@@ -1,7 +1,8 @@
 """Command-line interface wiring parsing, scoring, statistics, and output.
 
+Both argv readers take the commands, their options and defaults from one table, _COMMANDS.
 main() reads a well-formed command itself (see _read_argv) and builds the argparse parser
-only for any other argv, so help and usage errors stay argparse's own.
+(build_parser) only for any other argv, so help and usage errors stay argparse's own.
 Every command works on score codes, one byte k per response
 (ingest.ParseReport.codes), which the statistics aggregate through their 41 counts.
 
@@ -34,6 +35,20 @@ def _delimiter_arg(text: str) -> str:
     return text
 
 
+# Each command's help and options, as name: (default, help). Every command also takes an
+# input file, after the chart kind for chart.
+_DELIMITER = {"delimiter": (DEFAULT_DELIMITER, f"field delimiter (default {DEFAULT_DELIMITER!r})")}
+_COMMANDS = {
+    "score": ("print one SUS score per response", _DELIMITER),
+    "report": ("print the full text report and write it to a file", {**_DELIMITER, "output": (
+        DEFAULT_REPORT_PATH, f"report file path (default {DEFAULT_REPORT_PATH})")}),
+    "chart": ("write one SVG chart", {**_DELIMITER, "output": (None, "SVG file path (default <kind>.svg)")}),
+}
+# The options each command takes, with their defaults as the parser sets them.
+_COMMAND_OPTIONS = {command: {name: default for name, (default, _) in options.items()}
+                    for command, (_, options) in _COMMANDS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -43,45 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
         "responses and report on them.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_input_args(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "input", help="response file: one response per line, ten integers 1-5"
-        )
-        subparser.add_argument(
-            "--delimiter",
-            type=_delimiter_arg,
-            default=DEFAULT_DELIMITER,
-            help=f"field delimiter (default {DEFAULT_DELIMITER!r})",
-        )
-
-    score_cmd = subparsers.add_parser("score", help="print one SUS score per response")
-    add_input_args(score_cmd)
-
-    report_cmd = subparsers.add_parser(
-        "report", help="print the full text report and write it to a file"
-    )
-    add_input_args(report_cmd)
-    report_cmd.add_argument(
-        "--output",
-        default=DEFAULT_REPORT_PATH,
-        help=f"report file path (default {DEFAULT_REPORT_PATH})",
-    )
-
-    chart_cmd = subparsers.add_parser("chart", help="write one SVG chart")
-    chart_cmd.add_argument("kind", choices=CHART_KINDS, help="which chart to draw")
-    add_input_args(chart_cmd)
-    chart_cmd.add_argument("--output", default=None, help="SVG file path (default <kind>.svg)")
-
+    for command, (command_help, options) in _COMMANDS.items():
+        subparser = subparsers.add_parser(command, help=command_help)
+        if command == "chart":
+            subparser.add_argument("kind", choices=CHART_KINDS, help="which chart to draw")
+        subparser.add_argument("input", help="response file: one response per line, ten integers 1-5")
+        for name, (default, option_help) in options.items():
+            subparser.add_argument(f"--{name}", default=default, help=option_help,
+                                   type=_delimiter_arg if name == "delimiter" else None)
     return parser
-
-
-# The options each command takes, with their defaults as the parser sets them.
-_COMMAND_OPTIONS = {
-    "score": {"delimiter": DEFAULT_DELIMITER},
-    "report": {"delimiter": DEFAULT_DELIMITER, "output": DEFAULT_REPORT_PATH},
-    "chart": {"delimiter": DEFAULT_DELIMITER, "output": None},
-}
 
 
 def _read_argv(argv: Sequence[str]) -> dict | None:

@@ -12,6 +12,11 @@ import os
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
+__all__ = [
+    "DEFAULT_DELIMITER", "BadFieldCountError", "EmptyInputError", "NotAnIntegerError", "OutOfRangeError",
+    "ParseError", "ParseReport", "ResponseRow", "load_responses", "parse_responses",
+]
+
 LIKERT_MIN = 1
 LIKERT_MAX = 5
 ITEMS_PER_RESPONSE = 10

@@ -14,6 +14,10 @@ from collections.abc import Sequence
 from .scoring import _TABLE, CODE_SCORES
 from .stats import _counted, descriptive_stats, frequency_table
 
+__all__ = [
+    "DEFAULT_REPORT_PATH", "InsufficientDataError", "render_report", "render_single_report", "write_report",
+]
+
 DEFAULT_REPORT_PATH = "results.txt"
 
 _COL_WIDTH = 20

@@ -14,6 +14,10 @@ from enum import Enum
 
 from .ingest import ITEMS_PER_RESPONSE, ResponseRow, _score_code
 
+__all__ = [
+    "DIMENSIONS", "Acceptability", "Adjective", "Grade", "classify_each", "score_all", "score_response",
+]
+
 
 class Acceptability(Enum):
     """Four-level acceptability band, in report order (lowest first)."""

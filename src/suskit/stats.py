@@ -18,6 +18,11 @@ from itertools import accumulate, compress
 
 from .scoring import CODE_SCORES, _dimension
 
+__all__ = [
+    "EmptyScoreSetError", "FrequencyTable", "HistogramBins", "SurveyStats", "descriptive_stats",
+    "frequency_table", "histogram_bins",
+]
+
 NUM_BINS = 10
 
 

@@ -216,6 +216,12 @@ MUTANTS = (
         ("tests/test_cli.py::test_argv_reader_agrees_with_argparse",),
     ),
     Mutant(
+        "chart takes report's default output",
+        "cli.py",
+        (('"output": (None, "SVG file path', '"output": (DEFAULT_REPORT_PATH, "SVG file path'),),
+        ("tests/test_cli.py::test_calls_in_one_process_share_no_state",),
+    ),
+    Mutant(
         "chart frame cache ignores the labels",
         "charts.py",
         (("@lru_cache(maxsize=16)\ndef _frame(",

@@ -229,6 +229,21 @@ def test_help_exits_0(capsys):
     assert "score" in out and "report" in out and "chart" in out
 
 
+# What argparse prints for each help and for one usage error, at 80 columns. Generated from
+# this same transcript; a deliberate change of a help text or option rewrites it.
+HELP_TRANSCRIPT = Path(__file__).parent / "data" / "cli_help.txt"
+
+
+def test_help_and_usage_match_the_committed_transcript(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = ""
+    for argv in (["--help"], ["score", "--help"], ["report", "--help"], ["chart", "--help"],
+                 ["report", "in.csv", "--delimiter", ";;"]):
+        code, out, err = run_cli(capsys, *argv)
+        transcript += f"$ suskit {' '.join(argv)}\n[exit {code}]\n[stdout]\n{out}[stderr]\n{err}"
+    assert transcript == HELP_TRANSCRIPT.read_text(encoding="utf-8")
+
+
 def test_report_write_failure(capsys, tmp_path, sample_path):
     target = tmp_path / "nodir" / "out.txt"
     code, out, err = run_cli(capsys, "report", str(sample_path), "--output", str(target))
