@@ -150,19 +150,21 @@ def _answers(lines: Sequence[str], delimiter: str) -> Iterator[tuple[int, ...]]:
 _CONTRIBUTIONS = bytes.maketrans(b"12345", b"\0\1\2\3\4"), bytes.maketrans(b"12345", b"\4\3\2\1\0")
 
 
-def _layout_codes(lines: list[str], delimiter: str) -> bytes | None:
-    # Each line's code if all are ten digits 1-5 joined by a one-character delimiter other than
-    # 1-5, lines the walk splits into their ten digits; else None. Joined by "\n", they put the
-    # delimiter or "\n" at each odd position, so answers[i::10] is item i + 1's column; its
+def _layout_codes(text: str, delimiter: str) -> bytes | None:
+    # Each row's code if the text, CRLF and CR read as LF and a final LF added if missing, is
+    # rows of ten digits 1-5 joined by the delimiter (one character, neither 1-5 nor a line break)
+    # and ended by LF: the walk's lines. Else None. answers[i::10] is item i + 1's column; its
     # contributions, a byte per row, add up as big integers to each row's k <= 40 with no carry.
-    if len(delimiter) != 1 or delimiter in "12345":
+    if len(delimiter) != 1 or delimiter in "12345" or delimiter.splitlines() != [delimiter]:
         return None
-    table = "\n".join(lines) + "\n"
+    table = text.replace("\r\n", "\n").replace("\r", "\n")
+    table += "" if table.endswith("\n") else "\n"
+    rows, rest = divmod(len(table), 20)
     answers = table[::2].encode("ascii", "replace")  # a non-ASCII character becomes "?"
-    if table[1::2] != (delimiter * 9 + "\n") * len(lines) or answers.translate(None, b"12345"):
+    if rest or table[1::2] != (delimiter * 9 + "\n") * rows or answers.translate(None, b"12345"):
         return None
     columns = (answers[i::10].translate(_CONTRIBUTIONS[i % 2]) for i in range(10))
-    return sum(int.from_bytes(column, "big") for column in columns).to_bytes(len(lines), "big")
+    return sum(int.from_bytes(column, "big") for column in columns).to_bytes(rows, "big")
 
 
 def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseReport:
@@ -176,9 +178,12 @@ def parse_responses(text: str, delimiter: str = DEFAULT_DELIMITER) -> ParseRepor
     Raises a :class:`ParseError` subclass pointing at the first offending
     line/field, or :class:`EmptyInputError` when nothing parseable remains.
     """
-    # A file that does not fit the layout, blank lines included, goes to the walk.
+    codes = _layout_codes(text, delimiter)
+    if codes is not None:
+        return ParseReport(codes, len(codes))
+    # A text that does not fit the layout, blank lines included, goes to the walk.
     lines = text.splitlines()
-    codes = _layout_codes(lines, delimiter) or bytes(map(_score_code, _answers(lines, delimiter)))
+    codes = bytes(map(_score_code, _answers(lines, delimiter)))
     if not codes:
         raise EmptyInputError()
     return ParseReport(codes, len(lines))

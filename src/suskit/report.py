@@ -22,6 +22,8 @@ DEFAULT_REPORT_PATH = "results.txt"
 
 _COL_WIDTH = 20
 _SUMMARY_COL_WIDTH = 15
+# The statistics rows' names, in SurveyStats field order.
+_STAT_NAMES = ("Mean", "Standard Deviation", "First Quartile (Q1)", "Median (Q2)", "Third Quartile (Q3)")
 
 
 class InsufficientDataError(ValueError):
@@ -88,14 +90,7 @@ def render_report(scores: Sequence[float]) -> str:
 
     values_block = ["SUS values", "-" * 11, *map(values.__getitem__, keys)]
 
-    stats_block = [_pair_line("Statistic", "Value"), "-" * 26]
-    stats_block += [
-        _pair_line("Mean", _fmt2(stats.mean)),
-        _pair_line("Standard Deviation", _fmt2(stats.sample_std)),
-        _pair_line("First Quartile (Q1)", _fmt2(stats.q1)),
-        _pair_line("Median (Q2)", _fmt2(stats.median)),
-        _pair_line("Third Quartile (Q3)", _fmt2(stats.q3)),
-    ]
+    stats_block = [_pair_line("Statistic", "Value"), "-" * 26, *map(_pair_line, _STAT_NAMES, map(_fmt2, stats))]
 
     frequency_blocks = []
     for dimension, dim in _TABLE.items():

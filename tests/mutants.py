@@ -39,8 +39,20 @@ MUTANTS = (
     Mutant(
         "layout check without its digit-delimiter clause",
         "ingest.py",
-        (('if len(delimiter) != 1 or delimiter in "12345":', "if len(delimiter) != 1:"),),
+        (('or delimiter in "12345" or', "or"),),
         ("tests/test_ingest.py::test_lookup_agrees_with_full_parse",),
+    ),
+    Mutant(
+        "layout check without its line-break delimiter clause",
+        "ingest.py",
+        ((" or delimiter.splitlines() != [delimiter]:", ":"),),
+        ("tests/test_ingest.py::test_lookup_agrees_with_full_parse",),
+    ),
+    Mutant(
+        "layout check leaves CR line ends",
+        "ingest.py",
+        (('.replace("\\r", "\\n")', ""),),
+        ("tests/test_ingest.py::test_clean_files_take_the_layout",),
     ),
     Mutant(
         "layout counting every item as odd-numbered",

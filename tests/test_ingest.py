@@ -185,9 +185,8 @@ def test_corrupted_fields_match_in_order_oracle(row, corruptions):
     assert outcome == expected
 
 
-# Delimiters the layout takes, and ones it must leave to the parser: answer digits and a
-# two-character delimiter. Line boundaries of str.splitlines ("\x1e", "\x0c", "\x85", "\r")
-# never fit the layout, which reads the parser's lines.
+# Delimiters the layout takes, and ones it must leave to the parser: answer digits, line
+# boundaries of str.splitlines ("\x1e", "\x0c", "\x85", "\r") and a two-character delimiter.
 CODE_DELIMITERS = [";", ",", " ", "\t", "\xe9", "0", "1", "5", "\x1e", "\x0c", "\x85", "\r", ", "]
 ODD_TOKENS = BAD_TOKENS + ["\x1f", "\x0c", " ", "\x0c3", "3 3"]
 
@@ -233,6 +232,12 @@ def response_file(tmp_path_factory):
 @example(case=("\x1e".join("3" * 10).encode() + b"\n", "\x1e"))
 @example(case=("\x0c".join("3" * 10).encode() + b"\n", "\x0c"))
 @example(case=(b"\xff;1\n", ";"))
+# Clean rows that leave the layout for the walk: rows ended by VT, NEL or U+2028, line ends of
+# str.splitlines that the layout does not read, and a blank line among lone CR and CRLF ends.
+@example(case=(f"{GOOD_LINE}\x0b{GOOD_LINE}\n".encode(), ";"))
+@example(case=(f"{GOOD_LINE}\x85{GOOD_LINE}".encode(), ";"))
+@example(case=(f"{GOOD_LINE}\u2028{GOOD_LINE}\u2028".encode(), ";"))
+@example(case=(f"{GOOD_LINE}\r{GOOD_LINE}\r\n\r\n{GOOD_LINE}\r".encode(), ";"))
 def test_lookup_agrees_with_full_parse(response_file, case):
     data, delimiter = case
     response_file.write_bytes(data)
@@ -261,8 +266,11 @@ def test_clean_files_take_the_layout(tmp_path):
     ]
     for text, delimiter, n in cases:
         path.write_bytes(text.encode())
+        want = ParseReport(expected.codes[:n], n)
         with mock.patch.object(ingest, "_answers", side_effect=AssertionError("walk")):
-            assert load_responses(path, delimiter) == ParseReport(expected.codes[:n], n), text
+            assert load_responses(path, delimiter) == want, text
+            # The same text as load_responses decodes it, byte order mark removed.
+            assert parse_responses(text.removeprefix("\ufeff"), delimiter) == want, text
 
 
 def test_layout_route_sweeps_every_response():
