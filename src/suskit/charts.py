@@ -72,68 +72,59 @@ def _bar_chart_svg(
     max_count = max(counts)
     tick_step = max(1, math.ceil(max_count / _MAX_TICKS))
     y_top = max(tick_step, tick_step * math.ceil(max_count / tick_step))
-    head, head_end, bar_parts, bar_end, tail = _frame(kind, title, labels, boundary_labels)
-    parts = [f"{head}{sum(counts)}{head_end}", _y_ticks(y_top, tick_step)]
-    for (before_count, before_y, before_height), count in zip(bar_parts, counts):
+    holes = [sum(counts), _y_ticks(y_top, tick_step)]
+    for count in counts:
         height = count / y_top * _PLOT_HEIGHT
-        parts.append(f"{before_count}{count}{before_y}{_n(_Y1 - height)}"
-                     f"{before_height}{_n(height)}{bar_end}")
-    parts.append(tail)
-    return "".join(parts)
+        holes += (count, _Y1 - height, height)
+    return _template(kind, title, labels, boundary_labels) % tuple(holes)
 
 
 @lru_cache(maxsize=16)
-def _frame(kind: str, title: str, labels: tuple[str, ...],
-           boundary_labels: tuple[str, ...] | None) -> tuple:
-    """The text of a chart that its counts do not change, cut where they go in: the header
-    up to data-total, the rest of the header, each bar's text before its count, y and
-    height, the end of a bar, and the text after the bars."""
+def _template(kind: str, title: str, labels: tuple[str, ...],
+              boundary_labels: tuple[str, ...] | None) -> str:
+    """The SVG text of a chart with a %-hole for each value its counts set, in document
+    order: data-total and the y-tick lines (%s), then per bar its data-count (%s), y and
+    height (%.1f). Caller text is XML-escaped and then has each % doubled, so it prints
+    as given."""
+    def text(value: str) -> str:
+        return _escape(value).replace("%", "%%")
+
     x0 = _MARGIN_X
     slot = _PLOT_WIDTH / len(labels)
-    head = (
+    contiguous = boundary_labels is not None
+    bar_width = slot if contiguous else slot * 0.7
+    stroke = ' stroke="#ffffff" stroke-width="1"' if contiguous else ""
+    label_font, x_labels, shift = (12, boundary_labels, 0) if contiguous else (10, labels, 0.5)
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_WIDTH}" height="{CANVAS_HEIGHT}"'
-        f' viewBox="0 0 {CANVAS_WIDTH} {CANVAS_HEIGHT}" data-kind="{_escape(kind)}" data-total="'
-    )
-    head_end = '">\n' + "\n".join([
+        f' viewBox="0 0 {CANVAS_WIDTH} {CANVAS_HEIGHT}" data-kind="{text(kind)}" data-total="%s">',
         f'  <rect width="{CANVAS_WIDTH}" height="{CANVAS_HEIGHT}" fill="#ffffff"/>',
         f'  <text x="{_n(CANVAS_WIDTH / 2)}" y="36" font-family="sans-serif" font-size="20"'
-        f' text-anchor="middle">{_escape(title)}</text>',
+        f' text-anchor="middle">{text(title)}</text>',
         '  <g class="axes">',
         f'    <line x1="{x0}" y1="{_MARGIN_Y}" x2="{x0}" y2="{_Y1}" stroke="{_AXIS_COLOR}" stroke-width="1"/>',
         f'    <line x1="{x0}" y1="{_Y1}" x2="{x0 + _PLOT_WIDTH}" y2="{_Y1}" stroke="{_AXIS_COLOR}" stroke-width="1"/>',
         "  </g>",
-        '  <g class="y-ticks" font-family="sans-serif" font-size="12" text-anchor="end">\n',
-    ])
-
-    contiguous = boundary_labels is not None
-    bar_width = slot if contiguous else slot * 0.7
-    bar_parts = tuple(
-        (f'    <rect class="bar" data-label="{_escape(label)}" data-count="',
-         f'" x="{_n(x0 + index * slot + (0 if contiguous else slot * 0.15))}" y="',
-         f'" width="{_n(bar_width)}" height="')
-        for index, label in enumerate(labels)
-    )
-    stroke = ' stroke="#ffffff" stroke-width="1"' if contiguous else ""
-    bar_end = f'" fill="{_BAR_FILL}"{stroke}/>\n'
-
-    if contiguous:
-        label_font, x_labels, shift = 12, boundary_labels, 0
-    else:
-        label_font, x_labels, shift = 10, labels, 0.5
-    tail = "\n".join([
+        '  <g class="y-ticks" font-family="sans-serif" font-size="12" text-anchor="end">',
+        "%s",
+        "  </g>",
+        '  <g class="bars">',
+        *(f'    <rect class="bar" data-label="{text(label)}" data-count="%s"'
+          f' x="{_n(x0 + index * slot + (0 if contiguous else slot * 0.15))}" y="%.1f"'
+          f' width="{_n(bar_width)}" height="%.1f" fill="{_BAR_FILL}"{stroke}/>'
+          for index, label in enumerate(labels)),
         "  </g>",
         f'  <g class="x-labels" font-family="sans-serif" font-size="{label_font}" text-anchor="middle">',
-        *(f'    <text x="{_n(x0 + (index + shift) * slot)}" y="{_Y1 + 24}">{_escape(text)}</text>'
-          for index, text in enumerate(x_labels)),
+        *(f'    <text x="{_n(x0 + (index + shift) * slot)}" y="{_Y1 + 24}">{text(label)}</text>'
+          for index, label in enumerate(x_labels)),
         "  </g>",
         "</svg>\n",
     ])
-    return head, head_end, bar_parts, bar_end, tail
 
 
 @lru_cache(maxsize=64)
 def _y_ticks(y_top: int, tick_step: int) -> str:
-    """The y-tick group from its first tick to the start of the bars, for one axis scale."""
+    """The y-tick lines of one axis scale."""
     x0 = _MARGIN_X
     lines = []
     for value in range(0, y_top + 1, tick_step):
@@ -143,4 +134,4 @@ def _y_ticks(y_top: int, tick_step: int) -> str:
             f' stroke="{_AXIS_COLOR}" stroke-width="1"/>'
         )
         lines.append(f'    <text x="{x0 - 10}" y="{_n(y + 4)}">{value}</text>')
-    return "\n".join([*lines, "  </g>", '  <g class="bars">\n'])
+    return "\n".join(lines)

@@ -194,7 +194,7 @@ MUTANTS = (
     Mutant(
         "category labels on the slot edge",
         "charts.py",
-        (("label_font, x_labels, shift = 10, labels, 0.5", "label_font, x_labels, shift = 10, labels, 0"),),
+        (("else (10, labels, 0.5)", "else (10, labels, 0)"),),
         ("tests/test_cli.py::test_all_chart_kinds_render",),
     ),
     Mutant(
@@ -234,11 +234,29 @@ MUTANTS = (
         ("tests/test_cli.py::test_calls_in_one_process_share_no_state",),
     ),
     Mutant(
-        "chart frame cache ignores the labels",
+        "chart template cache ignores the labels",
         "charts.py",
-        (("@lru_cache(maxsize=16)\ndef _frame(",
-          "@(lambda f, memo={}: lambda *a: memo.setdefault(a[:2], f(*a)))\ndef _frame("),),
+        (("@lru_cache(maxsize=16)\ndef _template(",
+          "@(lambda f, memo={}: lambda *a: memo.setdefault(a[:2], f(*a)))\ndef _template("),),
         ("tests/test_charts.py::test_charts_of_one_kind_keep_their_own_labels",),
+    ),
+    Mutant(
+        "chart template rebuilt per call",
+        "charts.py",
+        (("@lru_cache(maxsize=16)\ndef _template(", "def _template("),),
+        ("tests/test_charts.py::test_a_second_chart_of_one_frame_and_scale_builds_nothing_again",),
+    ),
+    Mutant(
+        "y-ticks rebuilt per call",
+        "charts.py",
+        (("@lru_cache(maxsize=64)\ndef _y_ticks(", "def _y_ticks("),),
+        ("tests/test_charts.py::test_a_second_chart_of_one_frame_and_scale_builds_nothing_again",),
+    ),
+    Mutant(
+        "template text without its % doubling",
+        "charts.py",
+        (('.replace("%", "%%")', ""),),
+        ("tests/test_charts.py::test_markup_escapes_as_saxutils",),
     ),
 )
 

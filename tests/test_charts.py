@@ -7,7 +7,7 @@ from unittest import mock
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from suskit import charts
@@ -177,6 +177,17 @@ def test_charts_of_one_kind_keep_their_own_labels():
         assert bar_pairs(svg) == [(label.value, count) for label, count in table.entries]
 
 
+def test_a_second_chart_of_one_frame_and_scale_builds_nothing_again():
+    # Both charts have a largest count of 3, so they share the template and the y-ticks:
+    # the second one escapes no text and formats no number outside the template's holes.
+    first, second = histogram_bins([50.0] * 3), histogram_bins([10.0, 20.0, 30.0, 30.0, 30.0])
+    render_histogram(first)
+    with mock.patch.object(charts, "_escape", side_effect=AssertionError("text escaped again")), \
+            mock.patch.object(charts, "_n", side_effect=AssertionError("number formatted again")):
+        svg = render_histogram(second)
+    assert bar_pairs(svg) == list(zip(charts._BIN_LABELS, second.counts))
+
+
 def test_unknown_dimension_rejected():
     from suskit import Grade
 
@@ -192,18 +203,22 @@ def test_svg_is_well_formed_single_root(sample_scores):
     assert svg.endswith("</svg>\n")
 
 
-markup_texts = st.text(alphabet="&<>\"'a ;", max_size=12)
+markup_texts = st.text(alphabet="&<>\"'a ;%", max_size=12)
 
 
+@example(kind="100%", title="%s of %d", labels=["%%", "%.1f"])
 @given(kind=markup_texts, title=markup_texts, labels=st.lists(markup_texts, min_size=1, max_size=4))
 def test_markup_escapes_as_saxutils(kind, title, labels):
     labels, counts = tuple(labels), range(len(labels))
 
     def render():
-        charts._frame.cache_clear()  # a frame kept from the other render would hide _escape
+        charts._template.cache_clear()  # a template kept from the other render would hide _escape
         return (charts._bar_chart_svg(kind, title, labels, counts),
                 charts._bar_chart_svg(kind, title, labels, counts, (*labels, "&end")))
 
     ours = render()
+    # Caller text prints as given, % included, once escaped.
+    assert f'data-kind="{escape(kind)}"' in ours[0] and f">{escape(title)}</text>" in ours[0]
+    assert all(f'data-label="{escape(label)}"' in ours[0] for label in labels)
     with mock.patch.object(charts, "_escape", escape):
         assert render() == ours
